@@ -31,7 +31,7 @@ void Run() {
       config.index_options.storage_kind = storage;
       if (storage == mindex::StorageKind::kDisk) {
         config.index_options.disk_path =
-            "/tmp/simcloud_ablation_" + std::to_string(bucket) + ".bin";
+            ScratchPath("ablation_" + std::to_string(bucket) + ".bin");
       }
 
       const auto queries = config.dataset.SampleQueries(50, 2024);

@@ -154,7 +154,7 @@ void Run(bool smoke) {
       config.index_options.disk_path.clear();
     } else {
       config.index_options.disk_path =
-          "/tmp/simcloud_batch_bench_" + std::string(named.label) + ".bin";
+          ScratchPath("batch_" + std::string(named.label) + ".bin");
     }
     SecureStack stack =
         BuildSecureStack(config, secure::InsertStrategy::kPrecise, nullptr);

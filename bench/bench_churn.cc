@@ -54,7 +54,6 @@ namespace {
 
 struct ChurnServer {
   const char* label;
-  std::string disk_path;
   std::unique_ptr<secure::EncryptedMIndexServer> server;
   uint64_t queries_timed = 0;
   int64_t query_nanos = 0;
@@ -139,10 +138,8 @@ void Run(bool smoke) {
   auto make_server = [&](const char* label, double trigger) {
     ChurnServer churn;
     churn.label = label;
-    churn.disk_path =
-        "/tmp/simcloud_bench_churn_" + std::string(label) + ".bin";
     mindex::MIndexOptions options = config.index_options;
-    options.disk_path = churn.disk_path;
+    options.disk_path = ScratchPath("churn_" + std::string(label) + ".bin");
     options.cache_bytes = 8ull << 20;
     options.compaction_trigger = trigger;
     auto server = secure::EncryptedMIndexServer::Create(options);
@@ -374,9 +371,6 @@ void Run(bool smoke) {
                  pause_ms);
     std::exit(1);
   }
-
-  std::remove(compacting.disk_path.c_str());
-  std::remove(append_only.disk_path.c_str());
 }
 
 }  // namespace

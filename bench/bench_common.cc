@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/clock.h"
+#include "common/scratch_dir.h"
 #include "metric/ground_truth.h"
 #include "mindex/pivot_set.h"
 
@@ -11,6 +12,11 @@ namespace simcloud {
 namespace bench {
 
 using metric::VectorObject;
+
+std::string ScratchPath(const std::string& name) {
+  static const ScratchDir dir("simcloud_bench");
+  return dir.File(name);
+}
 
 DatasetConfig MakeYeastConfig() {
   DatasetConfig config;
@@ -39,7 +45,7 @@ DatasetConfig MakeCophirConfig(size_t num_objects) {
   config.index_options.bucket_capacity = 1000;
   config.index_options.max_level = 8;
   config.index_options.storage_kind = mindex::StorageKind::kDisk;
-  config.index_options.disk_path = "/tmp/simcloud_cophir_payloads.bin";
+  config.index_options.disk_path = ScratchPath("cophir_payloads.bin");
   config.index_options.stored_prefix_length = 16;
   return config;
 }

@@ -39,6 +39,11 @@ DatasetConfig MakeHumanConfig();
 /// storage, permutation prefix 16 (memory economy at n up to 1M).
 DatasetConfig MakeCophirConfig(size_t num_objects);
 
+/// Path of `name` in this process's private scratch directory (created on
+/// first use, removed with its contents at exit), so benches running side
+/// by side never share a storage file.
+std::string ScratchPath(const std::string& name);
+
 /// One column of the paper's cost tables, all values in seconds except
 /// where noted. Negative recall/comm mean "not reported".
 struct CostRow {

@@ -1,6 +1,7 @@
-// Crypto kernel throughput: AES-CTR and SHA-256 scalar vs hardware
-// (AES-NI / SHA-NI), plus the dispatched AEAD seal/open path every wire
-// record and payload ciphertext goes through.
+// Crypto kernel throughput: AES-CTR, AES-CBC (decrypt and encrypt) and
+// SHA-256 scalar vs hardware (AES-NI / SHA-NI), plus the dispatched AEAD
+// seal/open path every wire record and authenticated payload goes
+// through.
 //
 // Both implementations of each kernel are driven directly (kernels.h
 // exposes them independent of the process-wide dispatch), so one run
@@ -9,8 +10,9 @@
 // awkward lengths — a benchmark of a wrong kernel is worse than none.
 //
 // Acceptance gate (the run aborts when violated): when the AES-NI
-// kernel is available, accelerated AES-CTR must be >= 3x the scalar
-// throughput. On scalar-only boxes (or under
+// kernels are available, accelerated AES-CTR and accelerated AES-CBC
+// decryption (the client's per-candidate payload open) must each be
+// >= 3x the scalar throughput. On scalar-only boxes (or under
 // SIMCLOUD_FORCE_SCALAR_CRYPTO=1 — which only affects the dispatched
 // AEAD section here) the gate is skipped and reported as such.
 //
@@ -20,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "common/clock.h"
 #include "common/rng.h"
@@ -60,6 +63,27 @@ void CrossCheckKernels(const crypto::Aes& aes) {
         std::exit(1);
       }
     }
+    for (size_t blocks : {0u, 1u, 7u, 8u, 9u, 17u, 256u}) {
+      const size_t len = blocks * 16;
+      const Bytes input = RandomBytes(&rng, len);
+      const Bytes iv = RandomBytes(&rng, 16);
+      Bytes scalar(len), accel(len);
+      crypto::ScalarAesCbcEncrypt(aes, iv.data(), input.data(),
+                                  scalar.data(), len);
+      crypto::AesNiCbcEncrypt(aes.round_key_bytes(), aes.rounds(), iv.data(),
+                              input.data(), accel.data(), len);
+      bool match = scalar == accel;
+      crypto::ScalarAesCbcDecrypt(aes, iv.data(), input.data(),
+                                  scalar.data(), len);
+      crypto::AesNiCbcDecrypt(aes.round_key_bytes(), aes.rounds(), iv.data(),
+                              input.data(), accel.data(), len);
+      match = match && scalar == accel;
+      if (!match) {
+        std::fprintf(stderr, "FAIL: AES-NI CBC mismatch at %zu blocks\n",
+                     blocks);
+        std::exit(1);
+      }
+    }
   }
   if (crypto::ShaNiKernelAvailable()) {
     for (size_t blocks : {1u, 2u, 3u, 5u, 64u}) {
@@ -76,6 +100,16 @@ void CrossCheckKernels(const crypto::Aes& aes) {
         std::exit(1);
       }
     }
+  }
+}
+
+/// One row of the kernel table; `accel` < 0 means no hardware kernel.
+void PrintRow(const char* kernel, double scalar, double accel) {
+  if (accel < 0) {
+    std::printf("%-22s %12.1f %12s %9s\n", kernel, scalar, "-", "-");
+  } else {
+    std::printf("%-22s %12.1f %12.1f %8.1fx\n", kernel, scalar, accel,
+                accel / scalar);
   }
 }
 
@@ -126,18 +160,42 @@ void Run(bool smoke) {
     crypto::ScalarAesCtrXor(*aes, iv.data(), buffer.data(), out.data(),
                             buf_len);
   });
-  double ctr_accel = 0;
+  double ctr_accel = -1;
   if (crypto::AesNiKernelAvailable()) {
     ctr_accel = MeasureMbps(buf_len, min_seconds, [&] {
       crypto::AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), iv.data(),
                           buffer.data(), out.data(), buf_len);
     });
-    std::printf("%-22s %12.1f %12.1f %8.1fx\n", "aes-128-ctr", ctr_scalar,
-                ctr_accel, ctr_accel / ctr_scalar);
-  } else {
-    std::printf("%-22s %12.1f %12s %9s\n", "aes-128-ctr", ctr_scalar, "-",
-                "-");
   }
+  PrintRow("aes-128-ctr", ctr_scalar, ctr_accel);
+
+  // ------------------------------------------------------------ AES-CBC
+  // The buffer is a whole number of blocks; padding is cipher.cc's job.
+  const double cbc_dec_scalar = MeasureMbps(buf_len, min_seconds, [&] {
+    crypto::ScalarAesCbcDecrypt(*aes, iv.data(), buffer.data(), out.data(),
+                                buf_len);
+  });
+  double cbc_dec_accel = -1;
+  if (crypto::AesNiKernelAvailable()) {
+    cbc_dec_accel = MeasureMbps(buf_len, min_seconds, [&] {
+      crypto::AesNiCbcDecrypt(aes->round_key_bytes(), aes->rounds(),
+                              iv.data(), buffer.data(), out.data(), buf_len);
+    });
+  }
+  PrintRow("aes-128-cbc-dec", cbc_dec_scalar, cbc_dec_accel);
+
+  const double cbc_enc_scalar = MeasureMbps(buf_len, min_seconds, [&] {
+    crypto::ScalarAesCbcEncrypt(*aes, iv.data(), buffer.data(), out.data(),
+                                buf_len);
+  });
+  double cbc_enc_accel = -1;
+  if (crypto::AesNiKernelAvailable()) {
+    cbc_enc_accel = MeasureMbps(buf_len, min_seconds, [&] {
+      crypto::AesNiCbcEncrypt(aes->round_key_bytes(), aes->rounds(),
+                              iv.data(), buffer.data(), out.data(), buf_len);
+    });
+  }
+  PrintRow("aes-128-cbc-enc", cbc_enc_scalar, cbc_enc_accel);
 
   // ------------------------------------------------------------ SHA-256
   uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
@@ -146,16 +204,13 @@ void Run(bool smoke) {
   const double sha_scalar = MeasureMbps(sha_blocks * 64, min_seconds, [&] {
     crypto::ScalarSha256Blocks(h, buffer.data(), sha_blocks);
   });
-  double sha_accel = 0;
+  double sha_accel = -1;
   if (crypto::ShaNiKernelAvailable()) {
     sha_accel = MeasureMbps(sha_blocks * 64, min_seconds, [&] {
       crypto::ShaNiSha256Blocks(h, buffer.data(), sha_blocks);
     });
-    std::printf("%-22s %12.1f %12.1f %8.1fx\n", "sha-256", sha_scalar,
-                sha_accel, sha_accel / sha_scalar);
-  } else {
-    std::printf("%-22s %12.1f %12s %9s\n", "sha-256", sha_scalar, "-", "-");
   }
+  PrintRow("sha-256", sha_scalar, sha_accel);
 
   // ----------------------------------- dispatched HMAC + AEAD seal/open
   // These run on whatever backend the process-wide dispatch picked
@@ -183,15 +238,20 @@ void Run(bool smoke) {
 
   // ---------------------------------------------------- acceptance gate
   if (crypto::AesNiKernelAvailable()) {
-    const double speedup = ctr_accel / ctr_scalar;
-    if (speedup < 3.0) {
-      std::fprintf(stderr,
-                   "FAIL: AES-NI CTR is %.2fx the scalar kernel "
-                   "(acceptance gate: >= 3x)\n",
-                   speedup);
-      std::exit(1);
+    const double ctr_speedup = ctr_accel / ctr_scalar;
+    const double cbc_speedup = cbc_dec_accel / cbc_dec_scalar;
+    for (const auto& [kernel, speedup] :
+         {std::pair{"CTR", ctr_speedup}, std::pair{"CBC decrypt", cbc_speedup}}) {
+      if (speedup < 3.0) {
+        std::fprintf(stderr,
+                     "FAIL: AES-NI %s is %.2fx the scalar kernel "
+                     "(acceptance gate: >= 3x)\n",
+                     kernel, speedup);
+        std::exit(1);
+      }
     }
-    std::printf("bench_crypto OK (aes-ctr %.1fx >= 3x%s)\n", speedup,
+    std::printf("bench_crypto OK (aes-ctr %.1fx, aes-cbc-dec %.1fx >= 3x%s)\n",
+                ctr_speedup, cbc_speedup,
                 crypto::ShaNiKernelAvailable()
                     ? ", sha-ni cross-checked"
                     : "");

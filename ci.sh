@@ -104,6 +104,15 @@ else
   echo "python3 not available; skipped"
 fi
 
+echo "=== lint: no fixed temp-file names in tests, benches and examples ==="
+# ctest -j runs a suite and its env-variant twins side by side; a fixed
+# file name lets them clobber each other's storage. Files go in a private
+# mkdtemp directory instead (simcloud::ScratchDir, common/scratch_dir.h).
+if grep -nE 'TempDir\(\)|"/tmp/' tests/* bench/* examples/*; then
+  echo "FAIL: literal temp path above; use simcloud::ScratchDir" >&2
+  exit 1
+fi
+
 echo "=== configure + build ==="
 cmake -B build -S .
 cmake --build build -j "$(nproc)"

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 
+#include "common/scratch_dir.h"
 #include "data/io.h"
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
@@ -26,8 +27,10 @@ using namespace simcloud;
 
 int main() {
   // --- 1. A numeric matrix on disk. We synthesize one; a real
-  // gene-expression CSV loads identically.
-  const std::string csv_path = "/tmp/simcloud_example_matrix.csv";
+  // gene-expression CSV loads identically. Files go to a private
+  // temporary directory, removed when `scratch` goes out of scope.
+  const ScratchDir scratch("simcloud_example");
+  const std::string csv_path = scratch.File("matrix.csv");
   {
     data::MixtureOptions options;
     options.num_objects = 2000;
@@ -75,7 +78,7 @@ int main() {
   }
 
   // --- 3. Snapshot the server state.
-  const std::string snapshot_path = "/tmp/simcloud_example_index.midx";
+  const std::string snapshot_path = scratch.File("index.midx");
   if (!mindex::SaveIndex(server->get()->index(), snapshot_path).ok()) {
     return 1;
   }
@@ -123,8 +126,5 @@ int main() {
       static_cast<unsigned long long>(bytes_before),
       static_cast<unsigned long long>(
           (*compacted)->Stats().storage_bytes));
-
-  std::remove(csv_path.c_str());
-  std::remove(snapshot_path.c_str());
   return 0;
 }

@@ -1,5 +1,7 @@
 #include "common/serialize.h"
 
+#include <bit>
+
 namespace simcloud {
 
 void BinaryWriter::WriteVarint(uint64_t v) {
@@ -103,12 +105,21 @@ Result<std::vector<float>> BinaryReader::ReadFloatVector() {
   if (n > remaining() / sizeof(float)) {
     return Status::Corruption("float vector length exceeds remaining input");
   }
-  std::vector<float> v;
-  v.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    SIMCLOUD_ASSIGN_OR_RETURN(float f, ReadFloat());
-    v.push_back(f);
+  // One bounds check above, then a single pass over the n * 4 bytes.
+  std::vector<float> v(n);
+  const uint8_t* src = data_ + pos_;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (n != 0) std::memcpy(v.data(), src, n * sizeof(float));
+  } else {
+    for (size_t i = 0; i < n; ++i, src += sizeof(float)) {
+      const uint32_t bits = static_cast<uint32_t>(src[0]) |
+                            static_cast<uint32_t>(src[1]) << 8 |
+                            static_cast<uint32_t>(src[2]) << 16 |
+                            static_cast<uint32_t>(src[3]) << 24;
+      std::memcpy(&v[i], &bits, sizeof(float));
+    }
   }
+  pos_ += n * sizeof(float);
   return v;
 }
 

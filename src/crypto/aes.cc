@@ -263,5 +263,36 @@ void ScalarAesCtrXor(const Aes& aes, const uint8_t iv[16], const uint8_t* in,
   }
 }
 
+void ScalarAesCbcEncrypt(const Aes& aes, const uint8_t iv[16],
+                         const uint8_t* in, uint8_t* out, size_t len) {
+  uint8_t chain[Aes::kBlockSize];
+  std::memcpy(chain, iv, Aes::kBlockSize);
+  uint8_t block[Aes::kBlockSize];
+  for (size_t off = 0; off < len; off += Aes::kBlockSize) {
+    for (size_t i = 0; i < Aes::kBlockSize; ++i) {
+      block[i] = in[off + i] ^ chain[i];
+    }
+    aes.EncryptBlock(block, chain);
+    std::memcpy(out + off, chain, Aes::kBlockSize);
+  }
+}
+
+void ScalarAesCbcDecrypt(const Aes& aes, const uint8_t iv[16],
+                         const uint8_t* in, uint8_t* out, size_t len) {
+  uint8_t chain[Aes::kBlockSize];
+  std::memcpy(chain, iv, Aes::kBlockSize);
+  uint8_t ct[Aes::kBlockSize];
+  uint8_t block[Aes::kBlockSize];
+  for (size_t off = 0; off < len; off += Aes::kBlockSize) {
+    // Keep the ciphertext block before `out` (possibly == `in`) is written.
+    std::memcpy(ct, in + off, Aes::kBlockSize);
+    aes.DecryptBlock(ct, block);
+    for (size_t i = 0; i < Aes::kBlockSize; ++i) {
+      out[off + i] = block[i] ^ chain[i];
+    }
+    std::memcpy(chain, ct, Aes::kBlockSize);
+  }
+}
+
 }  // namespace crypto
 }  // namespace simcloud

@@ -12,9 +12,12 @@ namespace crypto {
 namespace {
 constexpr size_t kBlock = Aes::kBlockSize;
 
-// CTR keystream XOR, routed through AES-NI when the dispatcher enabled
-// it. Scalar and hardware kernels are bit-identical (cross-checked in
-// tests/crypto_test.cc), so callers never observe the difference.
+// The mode kernels below are routed through AES-NI when the dispatcher
+// enabled it. Scalar and hardware kernels are bit-identical
+// (cross-checked in tests/crypto_test.cc), so callers never observe the
+// difference.
+
+// CTR keystream XOR.
 void CtrXor(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
             uint8_t* out, size_t len) {
   if (len == 0) return;
@@ -24,27 +27,48 @@ void CtrXor(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
     ScalarAesCtrXor(aes, iv, in, out, len);
   }
 }
-}  // namespace
 
-Bytes Pkcs7Pad(const Bytes& data, size_t block_size) {
-  const size_t pad = block_size - (data.size() % block_size);
-  Bytes out = data;
-  out.insert(out.end(), pad, static_cast<uint8_t>(pad));
-  return out;
+// CBC over whole blocks; `len` is a multiple of kBlock.
+void CbcEncrypt(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
+                uint8_t* out, size_t len) {
+  if (AesAccelerated()) {
+    AesNiCbcEncrypt(aes.round_key_bytes(), aes.rounds(), iv, in, out, len);
+  } else {
+    ScalarAesCbcEncrypt(aes, iv, in, out, len);
+  }
 }
 
-Result<Bytes> Pkcs7Unpad(const Bytes& data, size_t block_size) {
-  if (data.empty() || data.size() % block_size != 0) {
+void CbcDecrypt(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
+                uint8_t* out, size_t len) {
+  if (AesAccelerated()) {
+    AesNiCbcDecrypt(aes.round_key_bytes(), aes.rounds(), iv, in, out, len);
+  } else {
+    ScalarAesCbcDecrypt(aes, iv, in, out, len);
+  }
+}
+}  // namespace
+
+void Pkcs7Pad(Bytes* data, size_t block_size) {
+  const size_t pad = block_size - (data->size() % block_size);
+  data->insert(data->end(), pad, static_cast<uint8_t>(pad));
+}
+
+Status Pkcs7Unpad(Bytes* data, size_t block_size) {
+  const size_t size = data->size();
+  if (size == 0 || size % block_size != 0) {
     return Status::Corruption("padded data size not a multiple of block size");
   }
-  const uint8_t pad = data.back();
+  const uint8_t pad = data->back();
   if (pad == 0 || pad > block_size) {
     return Status::Corruption("invalid PKCS#7 padding byte");
   }
-  for (size_t i = data.size() - pad; i < data.size(); ++i) {
-    if (data[i] != pad) return Status::Corruption("inconsistent PKCS#7 padding");
+  for (size_t i = size - pad; i < size; ++i) {
+    if ((*data)[i] != pad) {
+      return Status::Corruption("inconsistent PKCS#7 padding");
+    }
   }
-  return Bytes(data.begin(), data.end() - pad);
+  data->resize(size - pad);
+  return Status::OK();
 }
 
 Result<Cipher> Cipher::Create(const Bytes& key, CipherMode mode) {
@@ -84,19 +108,15 @@ Result<Bytes> Cipher::Decrypt(const Bytes& ciphertext) const {
 
 Result<Bytes> Cipher::EncryptCbc(const Bytes& plaintext,
                                  const Bytes& iv) const {
-  const Bytes padded = Pkcs7Pad(plaintext, kBlock);
+  // iv || plaintext, padded in place (the IV is one whole block, so it
+  // does not change the pad length), then the body encrypted in place.
   Bytes out;
-  out.reserve(kBlock + padded.size());
+  out.reserve(CiphertextSize(plaintext.size()));
   out.insert(out.end(), iv.begin(), iv.end());
-
-  uint8_t chain[kBlock];
-  std::memcpy(chain, iv.data(), kBlock);
-  uint8_t block[kBlock];
-  for (size_t off = 0; off < padded.size(); off += kBlock) {
-    for (size_t i = 0; i < kBlock; ++i) block[i] = padded[off + i] ^ chain[i];
-    aes_.EncryptBlock(block, chain);
-    out.insert(out.end(), chain, chain + kBlock);
-  }
+  out.insert(out.end(), plaintext.begin(), plaintext.end());
+  Pkcs7Pad(&out, kBlock);
+  CbcEncrypt(aes_, iv.data(), out.data() + kBlock, out.data() + kBlock,
+             out.size() - kBlock);
   return out;
 }
 
@@ -105,17 +125,12 @@ Result<Bytes> Cipher::DecryptCbc(const Bytes& ciphertext) const {
   if (body == 0 || body % kBlock != 0) {
     return Status::Corruption("CBC ciphertext body not block-aligned");
   }
-  Bytes padded(body);
-  uint8_t chain[kBlock];
-  std::memcpy(chain, ciphertext.data(), kBlock);
-  uint8_t block[kBlock];
-  for (size_t off = 0; off < body; off += kBlock) {
-    const uint8_t* ct = ciphertext.data() + kBlock + off;
-    aes_.DecryptBlock(ct, block);
-    for (size_t i = 0; i < kBlock; ++i) padded[off + i] = block[i] ^ chain[i];
-    std::memcpy(chain, ct, kBlock);
-  }
-  return Pkcs7Unpad(padded, kBlock);
+  // One buffer: decrypt into it, then strip the padding in place.
+  Bytes plaintext(body);
+  CbcDecrypt(aes_, ciphertext.data(), ciphertext.data() + kBlock,
+             plaintext.data(), body);
+  SIMCLOUD_RETURN_NOT_OK(Pkcs7Unpad(&plaintext, kBlock));
+  return plaintext;
 }
 
 Result<Bytes> Cipher::EncryptCtr(const Bytes& plaintext,

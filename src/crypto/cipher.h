@@ -7,6 +7,10 @@
 // ciphertext of an n-byte message is
 //   CBC: 16 + (floor(n/16)+1)*16 bytes,
 //   CTR: 16 + n bytes.
+//
+// Both modes run on the AES-NI kernels (kernels.h) when the dispatcher in
+// cpu_features.h enables them, and on the scalar reference otherwise;
+// the bytes are identical either way.
 
 #ifndef SIMCLOUD_CRYPTO_CIPHER_H_
 #define SIMCLOUD_CRYPTO_CIPHER_H_
@@ -57,11 +61,12 @@ class Cipher {
   CipherMode mode_;
 };
 
-/// Applies PKCS#7 padding up to `block_size` (1..255).
-Bytes Pkcs7Pad(const Bytes& data, size_t block_size);
+/// Appends PKCS#7 padding up to a multiple of `block_size` (1..255).
+void Pkcs7Pad(Bytes* data, size_t block_size);
 
-/// Strips and validates PKCS#7 padding; Corruption on malformed padding.
-Result<Bytes> Pkcs7Unpad(const Bytes& data, size_t block_size);
+/// Validates and strips PKCS#7 padding in place; Corruption on malformed
+/// padding, leaving `data` unchanged.
+Status Pkcs7Unpad(Bytes* data, size_t block_size);
 
 }  // namespace crypto
 }  // namespace simcloud

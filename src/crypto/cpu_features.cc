@@ -45,8 +45,9 @@ const CpuidBits& GetCpuidBits() {
 }  // namespace
 
 bool AesNiKernelAvailable() {
-  // The CTR kernel uses AESENC plus the SSSE3/SSE4.1 baseline; no AVX
-  // state is involved, so no xgetbv check is needed.
+  // The CTR and CBC kernels use the AES-NI instructions plus the
+  // SSSE3/SSE4.1 baseline; no AVX state is involved, so no xgetbv check
+  // is needed.
   const CpuidBits& bits = GetCpuidBits();
   return internal::kAesNiKernelCompiled &&
          (bits.leaf1_ecx & kLeaf1EcxAes) != 0 &&

@@ -20,8 +20,8 @@ namespace crypto {
 
 /// What the running CPU offers the crypto kernels.
 struct CpuFeatures {
-  /// AESENC/AESENCLAST (+ the SSSE3/SSE4.1 baseline the CTR kernel
-  /// needs) are available AND compiled in.
+  /// The AES-NI instructions (+ the SSSE3/SSE4.1 baseline the kernels
+  /// need) are available AND compiled in.
   bool aes_ni = false;
   /// SHA256RNDS2/SHA256MSG1/SHA256MSG2 are available AND compiled in.
   bool sha_ni = false;
@@ -39,7 +39,8 @@ struct CpuFeatures {
 /// first use; safe to call concurrently.
 const CpuFeatures& GetCpuFeatures();
 
-/// True when AES-CTR runs on the AES-NI kernel in this process.
+/// True when AES-CTR and AES-CBC run on the AES-NI kernels in this
+/// process.
 inline bool AesAccelerated() { return GetCpuFeatures().aes_ni; }
 /// True when SHA-256 (and so HMAC/HKDF/AEAD tags) runs on SHA-NI.
 inline bool ShaAccelerated() { return GetCpuFeatures().sha_ni; }

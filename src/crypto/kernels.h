@@ -46,6 +46,34 @@ void AesNiCtrXor(const uint8_t* round_keys, int rounds, const uint8_t iv[16],
                  const uint8_t* in, uint8_t* out, size_t len);
 
 // ---------------------------------------------------------------------------
+// AES-CBC over whole blocks: `len` is a multiple of 16 and padding is the
+// caller's business (cipher.cc). `iv` is the chaining value for the first
+// block. in == out is allowed.
+// ---------------------------------------------------------------------------
+
+/// Scalar reference: one chained EncryptBlock per block.
+void ScalarAesCbcEncrypt(const Aes& aes, const uint8_t iv[16],
+                         const uint8_t* in, uint8_t* out, size_t len);
+
+/// Scalar reference: one DecryptBlock per block.
+void ScalarAesCbcDecrypt(const Aes& aes, const uint8_t iv[16],
+                         const uint8_t* in, uint8_t* out, size_t len);
+
+/// AES-NI CBC encryption, one block at a time (each block's input is the
+/// previous block's output, so there is nothing to pipeline). Arguments
+/// as for AesNiCtrXor.
+void AesNiCbcEncrypt(const uint8_t* round_keys, int rounds,
+                     const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                     size_t len);
+
+/// AES-NI CBC decryption, 8-block pipelined (the block decryptions are
+/// independent). `round_keys` is the ENCRYPTION schedule; the kernel
+/// derives the equivalent-inverse-cipher schedule with AESIMC.
+void AesNiCbcDecrypt(const uint8_t* round_keys, int rounds,
+                     const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                     size_t len);
+
+// ---------------------------------------------------------------------------
 // SHA-256 block compression: absorbs `blocks` 64-byte blocks into the
 // running state h[8] (FIPS-180-4 working variables, host byte order).
 // ---------------------------------------------------------------------------

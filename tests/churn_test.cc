@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "data/synthetic.h"
 #include "mindex/mindex.h"
 #include "secure/client.h"
@@ -51,10 +51,10 @@ std::string ConfigName(const ChurnConfig& config) {
 class ChurnTest : public ::testing::TestWithParam<ChurnConfig> {};
 
 struct Deployment {
+  std::unique_ptr<ScratchDir> scratch;  // disk deployments; outlives server
   std::unique_ptr<net::RequestHandler> server;
   std::unique_ptr<net::LoopbackTransport> transport;
   std::unique_ptr<EncryptionClient> client;
-  std::vector<std::string> disk_paths;
 
   /// White-box access to every shard's index.
   std::vector<const mindex::MIndex*> Indexes() const {
@@ -73,8 +73,7 @@ struct Deployment {
 
 Deployment MakeDeployment(const ChurnConfig& config, const SecretKey& key,
                           std::shared_ptr<metric::DistanceFunction> metric,
-                          const std::string& tag, double compaction_trigger,
-                          uint64_t cache_bytes) {
+                          double compaction_trigger, uint64_t cache_bytes) {
   mindex::MIndexOptions options;
   options.num_pivots = key.num_pivots();
   options.bucket_capacity = 25;
@@ -84,16 +83,8 @@ Deployment MakeDeployment(const ChurnConfig& config, const SecretKey& key,
   Deployment deployment;
   if (config.storage_kind == mindex::StorageKind::kDisk) {
     options.storage_kind = mindex::StorageKind::kDisk;
-    options.disk_path =
-        testing::TempDir() + "/simcloud_churn_" + tag + ".bucket";
-    if (config.num_shards <= 1) {
-      deployment.disk_paths.push_back(options.disk_path);
-    } else {
-      for (size_t i = 0; i < config.num_shards; ++i) {
-        deployment.disk_paths.push_back(options.disk_path + "." +
-                                        std::to_string(i));
-      }
-    }
+    deployment.scratch = std::make_unique<ScratchDir>();
+    options.disk_path = deployment.scratch->File("churn.bucket");
   }
   if (config.num_shards <= 1) {
     auto server = EncryptedMIndexServer::Create(options);
@@ -111,13 +102,6 @@ Deployment MakeDeployment(const ChurnConfig& config, const SecretKey& key,
   return deployment;
 }
 
-void RemoveDeploymentFiles(const Deployment& deployment) {
-  for (const std::string& path : deployment.disk_paths) {
-    std::remove(path.c_str());
-    std::remove((path + ".compact").c_str());
-  }
-}
-
 TEST_P(ChurnTest, RandomizedChurnMatchesOracleAndCompactionChangesNothing) {
   const ChurnConfig config = GetParam();
 
@@ -133,13 +117,12 @@ TEST_P(ChurnTest, RandomizedChurnMatchesOracleAndCompactionChangesNothing) {
   auto key = SecretKey::Create(std::move(*pivots), Bytes(16, 0x37));
   ASSERT_TRUE(key.ok());
 
-  const std::string tag = ConfigName(config);
   Deployment compacting =
-      MakeDeployment(config, *key, metric, tag + "_compacting",
-                     /*compaction_trigger=*/0.35, /*cache_bytes=*/1 << 17);
+      MakeDeployment(config, *key, metric, /*compaction_trigger=*/0.35,
+                     /*cache_bytes=*/1 << 17);
   Deployment reference =
-      MakeDeployment(config, *key, metric, tag + "_reference",
-                     /*compaction_trigger=*/0.0, /*cache_bytes=*/0);
+      MakeDeployment(config, *key, metric, /*compaction_trigger=*/0.0,
+                     /*cache_bytes=*/0);
 
   // Oracle: which pool objects are currently indexed.
   std::vector<bool> live(pool.size(), false);
@@ -275,9 +258,6 @@ TEST_P(ChurnTest, RandomizedChurnMatchesOracleAndCompactionChangesNothing) {
       << "the reference deployment must have accumulated garbage for this "
          "test to mean anything";
   check_queries(999);
-
-  RemoveDeploymentFiles(compacting);
-  RemoveDeploymentFiles(reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -315,8 +295,8 @@ TEST(ConcurrentChurnTest, BackgroundCompactionRacesMutatorsAndQueries) {
   options.bucket_capacity = 25;
   options.max_level = 4;
   options.storage_kind = mindex::StorageKind::kDisk;
-  options.disk_path =
-      testing::TempDir() + "/simcloud_concurrent_churn.bucket";
+  const ScratchDir dir;
+  options.disk_path = dir.File("concurrent_churn.bucket");
   options.cache_bytes = 1 << 17;
   options.compaction_trigger = 0.3;  // background thread territory
   auto server = EncryptedMIndexServer::Create(options);
@@ -485,9 +465,6 @@ TEST(ConcurrentChurnTest, BackgroundCompactionRacesMutatorsAndQueries) {
       ASSERT_EQ(neighbor.distance, it->second);
     }
   }
-
-  std::remove(options.disk_path.c_str());
-  std::remove((options.disk_path + ".compact").c_str());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/bytes.h"
@@ -11,6 +12,7 @@
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/status.h"
+#include "metric/object.h"
 
 namespace simcloud {
 namespace {
@@ -233,6 +235,98 @@ TEST(SerializeTest, LyingVectorLengthIsCorruption) {
   w.WriteVarint(1ULL << 40);
   BinaryReader r(w.buffer());
   EXPECT_FALSE(r.ReadFloatVector().ok());
+}
+
+uint32_t FloatBits(float f) {
+  uint32_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
+float FloatFromBits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+TEST(SerializeTest, FloatVectorSpecialValuesBitExact) {
+  // Compared as bit patterns: NaN != NaN and -0.0f == 0.0f as floats.
+  const std::vector<float> values = {
+      FloatFromBits(0x7FC00000u),  // quiet NaN
+      FloatFromBits(0x7FA5A5A5u),  // signalling NaN with a payload
+      FloatFromBits(0xFFC12345u),  // negative quiet NaN with a payload
+      -0.0f,
+      0.0f,
+      std::numeric_limits<float>::denorm_min(),
+      -std::numeric_limits<float>::denorm_min(),
+      FloatFromBits(0x007FFFFFu),  // largest denormal
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::max(),
+      std::numeric_limits<float>::lowest()};
+  BinaryWriter w;
+  w.WriteFloatVector(values);
+  // Wire bytes: varint count, then each float's bits little-endian.
+  ASSERT_EQ(w.size(), 1 + 4 * values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    const uint32_t bits = FloatBits(values[i]);
+    for (size_t b = 0; b < 4; ++b) {
+      EXPECT_EQ(w.buffer()[1 + 4 * i + b], static_cast<uint8_t>(bits >> (8 * b)));
+    }
+  }
+  BinaryReader r(w.buffer());
+  auto got = r.ReadFloatVector();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(FloatBits((*got)[i]), FloatBits(values[i])) << "index " << i;
+  }
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(SerializeTest, FloatVectorLengthOverrunIsCorruption) {
+  // 11 payload bytes follow each count: two whole floats and a fragment.
+  const Bytes payload(11, 0xAB);
+  const uint64_t counts[] = {
+      3,                    // one byte short
+      1ULL << 40,
+      (1ULL << 62) + 1,     // n * 4 wraps to 4
+      1ULL << 62,           // n * 4 wraps to 0
+      UINT64_MAX};
+  for (const uint64_t n : counts) {
+    BinaryWriter w;
+    w.WriteVarint(n);
+    w.WriteRaw(payload.data(), payload.size());
+    BinaryReader r(w.buffer());
+    auto got = r.ReadFloatVector();
+    ASSERT_FALSE(got.ok()) << "count " << n;
+    EXPECT_EQ(got.status().code(), StatusCode::kCorruption) << "count " << n;
+  }
+  // Two floats fit, and leave the fragment unread.
+  BinaryWriter w;
+  w.WriteVarint(2);
+  w.WriteRaw(payload.data(), payload.size());
+  BinaryReader r(w.buffer());
+  auto got = r.ReadFloatVector();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->size(), 2u);
+  EXPECT_EQ(r.remaining(), 3u);
+}
+
+TEST(SerializeTest, VectorObjectRoundTripAt280d) {
+  // The CoPhIR-like descriptor dimension the payload path decodes.
+  Rng rng(280);
+  std::vector<float> values(280);
+  for (auto& v : values) v = static_cast<float>(rng.NextGaussian() * 100.0);
+  const metric::VectorObject object(123456789, values);
+  BinaryWriter w;
+  object.Serialize(&w);
+  EXPECT_EQ(w.size(), object.SerializedSize());
+  BinaryReader r(w.buffer());
+  auto back = metric::VectorObject::Deserialize(&r);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, object);
+  EXPECT_TRUE(r.AtEnd());
 }
 
 // Property: random write/read sequences round-trip.

@@ -6,10 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "common/serialize.h"
 #include "data/synthetic.h"
 #include "mindex/mindex.h"
@@ -103,17 +103,12 @@ class CompactorTest : public ::testing::TestWithParam<StorageKind> {
     options.max_level = 4;
     options.storage_kind = GetParam();
     if (GetParam() == StorageKind::kDisk) {
-      path_ = testing::TempDir() + "/simcloud_compactor_test.bucket";
+      path_ = dir_.File("compactor.bucket");
       options.disk_path = path_;
     }
     return options;
   }
-  void TearDown() override {
-    if (!path_.empty()) {
-      std::remove(path_.c_str());
-      std::remove((path_ + ".compact").c_str());
-    }
-  }
+  ScratchDir dir_;
   std::string path_;
 };
 
@@ -281,12 +276,13 @@ TEST(DeleteBatchTest, InvalidPermutationRejectsTheBatchBeforeAnyMutation) {
 }
 
 TEST(CompactorCacheTest, CacheSurvivesCompactionWarmAndNeverStale) {
+  const ScratchDir dir;
   TestWorld world = MakeWorld(300, 139);
   MIndexOptions options;
   options.bucket_capacity = 30;
   options.max_level = 4;
   options.storage_kind = StorageKind::kDisk;
-  options.disk_path = testing::TempDir() + "/simcloud_compactor_cache.bucket";
+  options.disk_path = dir.File("compactor_cache.bucket");
   options.cache_bytes = 1 << 20;
   auto index = BuildIndex(world, options);
 
@@ -315,7 +311,6 @@ TEST(CompactorCacheTest, CacheSurvivesCompactionWarmAndNeverStale) {
   // ...and, critically, serves the exact post-delete answer.
   EXPECT_EQ(RangeAnswer(*index, world, hot_query, 2.0), expected);
   EXPECT_EQ(index->StorageStats().dead_bytes, 0u);
-  std::remove(options.disk_path.c_str());
 }
 
 // The mid-pass mutation window: the between_steps hook runs with no lock
@@ -429,7 +424,6 @@ TEST_P(CompactorTest, MidPassMutationsSurviveTheRelocationJournal) {
     EXPECT_EQ(RangeAnswer(*compacting, world, query, 2.0),
               RangeAnswer(*reference, world, query, 2.0));
   }
-  if (!path_.empty()) std::remove((path_ + ".ref").c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, CompactorTest,
@@ -449,7 +443,7 @@ class PartialCompactionTest : public ::testing::Test {
 
   void SetUp() override {
     world_ = MakeWorld(400, 173);
-    path_ = testing::TempDir() + "/simcloud_partial_test.bucket";
+    path_ = dir_.File("partial.bucket");
     compacting_ = Build(path_);
     reference_ = Build(path_ + ".ref");
     // Delete two of every three among the first 300 objects from both:
@@ -465,11 +459,6 @@ class PartialCompactionTest : public ::testing::Test {
       }
     }
   }
-  void TearDown() override {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".ref").c_str());
-  }
-
   std::unique_ptr<MIndex> Build(const std::string& path) {
     MIndexOptions options;
     options.num_pivots = world_.pivots.size();
@@ -503,6 +492,7 @@ class PartialCompactionTest : public ::testing::Test {
     }
   }
 
+  ScratchDir dir_;
   TestWorld world_;
   std::string path_;
   std::unique_ptr<MIndex> compacting_;
@@ -661,9 +651,8 @@ TEST_P(CompactOpcodeTest, DeleteBatchThenCompactThroughTheWire) {
   mixture.seed = 149;
   const auto objects = data::MakeGaussianMixture(mixture);
   auto metric = std::make_shared<metric::L2Distance>();
-  const std::string disk_path = testing::TempDir() +
-                                "/simcloud_compact_opcode_" +
-                                std::to_string(num_shards) + ".bucket";
+  const ScratchDir dir;
+  const std::string disk_path = dir.File("compact_opcode.bucket");
   Stack stack = MakeStack(objects, metric, num_shards, disk_path,
                           /*compaction_trigger=*/0.0);
 
@@ -716,13 +705,6 @@ TEST_P(CompactOpcodeTest, DeleteBatchThenCompactThroughTheWire) {
   // Deleting already-deleted objects reports NotFound but is harmless.
   auto missing = stack.client->DeleteBatch(victims);
   EXPECT_EQ(missing.code(), StatusCode::kNotFound);
-
-  for (size_t i = 0; i < std::max<size_t>(num_shards, 1); ++i) {
-    std::remove((disk_path + "." + std::to_string(i)).c_str());
-    std::remove((ref_path + "." + std::to_string(i)).c_str());
-  }
-  std::remove(disk_path.c_str());
-  std::remove(ref_path.c_str());
 }
 
 TEST(ShardedDeleteBatchTest, MalformedItemLeavesEveryShardUntouched) {

@@ -1,7 +1,8 @@
 // Crypto substrate tests: AES against FIPS-197 / NIST SP 800-38A known
 // answers, SHA-256 and HMAC-SHA256 against FIPS/RFC vectors, PBKDF2
 // against published vectors, plus round-trip and tamper-detection
-// property tests for the Cipher wrapper.
+// property tests for the Cipher wrapper and scalar-vs-hardware
+// cross-checks of the accelerated kernels.
 
 #include <gtest/gtest.h>
 
@@ -105,20 +106,82 @@ TEST(AesTest, EncryptDecryptAllKeySizes) {
 
 // ------------------------------------------------------------- CBC / CTR
 
-TEST(CipherTest, Sp800_38a_Cbc128FirstBlock) {
-  // NIST SP 800-38A F.2.1: CBC-AES128.Encrypt, segment 1.
-  auto cipher = Cipher::Create(Hex("2b7e151628aed2a6abf7158809cf4f3c"),
-                               CipherMode::kCbc);
-  ASSERT_TRUE(cipher.ok());
-  const Bytes iv = Hex("000102030405060708090a0b0c0d0e0f");
-  const Bytes plaintext = Hex("6bc1bee22e409f96e93d7e117393172a");
-  auto ct = cipher->EncryptWithIv(plaintext, iv);
-  ASSERT_TRUE(ct.ok());
-  // Layout: IV || C1 || padding block. First ciphertext block must match.
-  EXPECT_EQ(ToHex(ct->data() + 16, 16), "7649abac8119b246cee98e9b12e9197d");
-  auto back = cipher->Decrypt(*ct);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, plaintext);
+// NIST SP 800-38A F.2: CBC-AES, four blocks under IV 000102...0f. The
+// Encrypt and Decrypt sections of each key size share key, IV and texts
+// (F.2.1/F.2.2, F.2.3/F.2.4, F.2.5/F.2.6).
+struct CbcVector {
+  const char* name;
+  const char* key;
+  const char* ciphertext;
+};
+
+constexpr char kSp800CbcIv[] = "000102030405060708090a0b0c0d0e0f";
+constexpr char kSp800Plaintext[] =
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710";
+
+constexpr CbcVector kSp800CbcVectors[] = {
+    {"F.2.1/F.2.2 AES-128", "2b7e151628aed2a6abf7158809cf4f3c",
+     "7649abac8119b246cee98e9b12e9197d"
+     "5086cb9b507219ee95db113a917678b2"
+     "73bed6b8e3c1743b7116e69e22229516"
+     "3ff1caa1681fac09120eca307586e1a7"},
+    {"F.2.3/F.2.4 AES-192",
+     "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+     "4f021db243bc633d7178183a9fa071e8"
+     "b4d9ada9ad7dedf4e5e738763f69145a"
+     "571b242012fb7ae07fa9baac3df102e0"
+     "08b0e27988598881d920a9e64f5615cd"},
+    {"F.2.5/F.2.6 AES-256",
+     "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+     "f58c4c04d6e5f1ba779eabfb5f7bfbd6"
+     "9cfc4e967edb808d679f777bc6702c7d"
+     "39f23369a9d9bacfa530e26304231461"
+     "b2eb05e2c39be9fcda6c19078c6a9d1b"},
+};
+
+TEST(CipherTest, Sp800_38a_CbcVectors) {
+  const Bytes iv = Hex(kSp800CbcIv);
+  const Bytes plaintext = Hex(kSp800Plaintext);
+  for (const CbcVector& v : kSp800CbcVectors) {
+    SCOPED_TRACE(v.name);
+    const Bytes key = Hex(v.key);
+    const Bytes ciphertext = Hex(v.ciphertext);
+    auto aes = Aes::Create(key);
+    ASSERT_TRUE(aes.ok());
+
+    // Both block-level implementations, encrypt and decrypt.
+    Bytes out(plaintext.size());
+    ScalarAesCbcEncrypt(*aes, iv.data(), plaintext.data(), out.data(),
+                        out.size());
+    EXPECT_EQ(ToHex(out), ToHex(ciphertext));
+    ScalarAesCbcDecrypt(*aes, iv.data(), ciphertext.data(), out.data(),
+                        out.size());
+    EXPECT_EQ(ToHex(out), ToHex(plaintext));
+    if (AesNiKernelAvailable()) {
+      AesNiCbcEncrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      plaintext.data(), out.data(), out.size());
+      EXPECT_EQ(ToHex(out), ToHex(ciphertext));
+      AesNiCbcDecrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      ciphertext.data(), out.data(), out.size());
+      EXPECT_EQ(ToHex(out), ToHex(plaintext));
+    }
+
+    // The dispatched Cipher: IV || the four vector blocks || one block of
+    // PKCS#7 padding, and back.
+    auto cipher = Cipher::Create(key, CipherMode::kCbc);
+    ASSERT_TRUE(cipher.ok());
+    auto ct = cipher->EncryptWithIv(plaintext, iv);
+    ASSERT_TRUE(ct.ok());
+    ASSERT_EQ(ct->size(), 16 + plaintext.size() + 16);
+    EXPECT_EQ(ToHex(ct->data(), 16), kSp800CbcIv);
+    EXPECT_EQ(ToHex(ct->data() + 16, plaintext.size()), ToHex(ciphertext));
+    auto back = cipher->Decrypt(*ct);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, plaintext);
+  }
 }
 
 TEST(CipherTest, Sp800_38a_Ctr128) {
@@ -207,43 +270,90 @@ TEST(CipherTest, RejectsWrongIvSize) {
 }
 
 TEST(CipherTest, PaddingTamperDetected) {
-  auto cipher = Cipher::Create(Bytes(16, 7), CipherMode::kCbc);
+  // Every tampering below must fail with the same Corruption status on
+  // the dispatched path (scalar under the *_scalar_crypto ctest variant,
+  // AES-NI otherwise) and on each block kernel followed by Pkcs7Unpad.
+  const Bytes key = Hex("000102030405060708090a0b0c0d0e0f");
+  auto cipher = Cipher::Create(key, CipherMode::kCbc);
+  auto aes = Aes::Create(key);
   ASSERT_TRUE(cipher.ok());
-  auto ct = cipher->Encrypt(Bytes(20, 0x55));
+  ASSERT_TRUE(aes.ok());
+  // 20 bytes: the last block holds 4 message bytes and 12 of padding.
+  auto ct = cipher->EncryptWithIv(Bytes(20, 0x55),
+                                  Hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"));
   ASSERT_TRUE(ct.ok());
-  // Corrupt the last ciphertext byte: padding check should usually fail
-  // (probability of accidental valid padding is small but non-zero; the
-  // chosen plaintext/key here is deterministic, so this test is stable).
-  Bytes tampered = *ct;
-  tampered.back() ^= 0xFF;
-  auto r = cipher->Decrypt(tampered);
-  if (r.ok()) {
-    EXPECT_NE(*r, Bytes(20, 0x55));  // at minimum the content changed
-  }
+  ASSERT_EQ(ct->size(), 48u);
+  const size_t prev_block = 16;  // flips here land in the last plaintext
+
+  const auto expect_corruption = [&](const Bytes& tampered,
+                                     const std::string& message) {
+    SCOPED_TRACE(message);
+    auto dispatched = cipher->Decrypt(tampered);
+    ASSERT_FALSE(dispatched.ok());
+    EXPECT_EQ(dispatched.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(dispatched.status().message(), message);
+    const size_t body = tampered.size() - 16;
+    if (body % 16 != 0) return;  // rejected before any block is decrypted
+    Bytes padded(body);
+    ScalarAesCbcDecrypt(*aes, tampered.data(), tampered.data() + 16,
+                        padded.data(), body);
+    EXPECT_EQ(Pkcs7Unpad(&padded, 16), dispatched.status());
+    if (AesNiKernelAvailable()) {
+      AesNiCbcDecrypt(aes->round_key_bytes(), aes->rounds(), tampered.data(),
+                      tampered.data() + 16, padded.data(), body);
+      EXPECT_EQ(Pkcs7Unpad(&padded, 16), dispatched.status());
+    }
+  };
+
+  // Pad byte 0x0c turned into 0x00 and into 17: no valid length.
+  Bytes zero_pad = *ct;
+  zero_pad[prev_block + 15] ^= 0x0c;
+  expect_corruption(zero_pad, "invalid PKCS#7 padding byte");
+  Bytes big_pad = *ct;
+  big_pad[prev_block + 15] ^= 0x0c ^ 17;
+  expect_corruption(big_pad, "invalid PKCS#7 padding byte");
+  // One of the other eleven pad bytes changed.
+  Bytes mixed_pad = *ct;
+  mixed_pad[prev_block + 9] ^= 0x01;
+  expect_corruption(mixed_pad, "inconsistent PKCS#7 padding");
+  // The last ciphertext byte flipped garbles the whole padding block;
+  // for this fixed key and IV its last plaintext byte is out of range.
+  Bytes last_byte = *ct;
+  last_byte.back() ^= 0xFF;
+  expect_corruption(last_byte, "invalid PKCS#7 padding byte");
+  // A body that is not a whole number of blocks.
+  Bytes unaligned = *ct;
+  unaligned.pop_back();
+  expect_corruption(unaligned, "CBC ciphertext body not block-aligned");
 }
 
 TEST(Pkcs7Test, PadUnpadAllResidues) {
   for (size_t len = 0; len <= 48; ++len) {
-    Bytes data(len, 0xAA);
-    Bytes padded = Pkcs7Pad(data, 16);
+    const Bytes data(len, 0xAA);
+    Bytes padded = data;
+    Pkcs7Pad(&padded, 16);
     EXPECT_EQ(padded.size() % 16, 0u);
     EXPECT_GT(padded.size(), data.size());
-    auto back = Pkcs7Unpad(padded, 16);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, data);
+    ASSERT_TRUE(Pkcs7Unpad(&padded, 16).ok());
+    EXPECT_EQ(padded, data);
   }
 }
 
 TEST(Pkcs7Test, RejectsMalformedPadding) {
-  EXPECT_FALSE(Pkcs7Unpad(Bytes{}, 16).ok());
-  EXPECT_FALSE(Pkcs7Unpad(Bytes(15, 1), 16).ok());        // unaligned
-  Bytes zero_pad(16, 0);
-  EXPECT_FALSE(Pkcs7Unpad(zero_pad, 16).ok());            // pad byte 0
-  Bytes too_big(16, 17);
-  EXPECT_FALSE(Pkcs7Unpad(too_big, 16).ok());             // pad byte > block
+  // Each rejection leaves the input untouched.
+  const auto expect_rejected = [](Bytes data) {
+    const Bytes before = data;
+    const Status status = Pkcs7Unpad(&data, 16);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_EQ(data, before);
+  };
+  expect_rejected(Bytes{});
+  expect_rejected(Bytes(15, 1));                      // unaligned
+  expect_rejected(Bytes(16, 0));                      // pad byte 0
+  expect_rejected(Bytes(16, 17));                     // pad byte > block
   Bytes inconsistent(16, 4);
   inconsistent[13] = 3;
-  EXPECT_FALSE(Pkcs7Unpad(inconsistent, 16).ok());        // mixed pad bytes
+  expect_rejected(inconsistent);                      // mixed pad bytes
 }
 
 // ----------------------------------------------------------------- SHA-256
@@ -504,6 +614,54 @@ TEST(KernelTest, AesNiCtrCounterCarryPropagates) {
   AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), iv.data(), input.data(),
               hw_out.data(), len);
   EXPECT_EQ(scalar_out, hw_out);
+}
+
+TEST(KernelTest, AesNiCbcMatchesScalarOnRandomInputs) {
+  if (!AesNiKernelAvailable()) {
+    GTEST_SKIP() << "AES-NI not available on this CPU";
+  }
+  Rng rng(0xCBC0);
+  for (const size_t key_len : {16u, 24u, 32u}) {
+    // 0..25 blocks: empty input, partial 8-block pipelines, and tails
+    // after one, two and three full pipelines.
+    for (size_t blocks = 0; blocks <= 25; ++blocks) {
+      auto aes = Aes::Create(RandomBytes(rng, key_len));
+      ASSERT_TRUE(aes.ok());
+      const size_t len = blocks * 16;
+      const Bytes iv = RandomBytes(rng, 16);
+      const Bytes plaintext = RandomBytes(rng, len);
+      SCOPED_TRACE("key_len=" + std::to_string(key_len) +
+                   " blocks=" + std::to_string(blocks));
+
+      Bytes scalar_ct(len), hw_ct(len);
+      ScalarAesCbcEncrypt(*aes, iv.data(), plaintext.data(),
+                          scalar_ct.data(), len);
+      AesNiCbcEncrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      plaintext.data(), hw_ct.data(), len);
+      EXPECT_EQ(scalar_ct, hw_ct);
+
+      Bytes scalar_pt(len), hw_pt(len);
+      ScalarAesCbcDecrypt(*aes, iv.data(), scalar_ct.data(),
+                          scalar_pt.data(), len);
+      AesNiCbcDecrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      scalar_ct.data(), hw_pt.data(), len);
+      EXPECT_EQ(scalar_pt, plaintext);
+      EXPECT_EQ(hw_pt, plaintext);
+
+      // In-place operation must produce the same bytes.
+      Bytes in_place = plaintext;
+      AesNiCbcEncrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      in_place.data(), in_place.data(), len);
+      EXPECT_EQ(in_place, scalar_ct);
+      AesNiCbcDecrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                      in_place.data(), in_place.data(), len);
+      EXPECT_EQ(in_place, plaintext);
+      in_place = scalar_ct;
+      ScalarAesCbcDecrypt(*aes, iv.data(), in_place.data(), in_place.data(),
+                          len);
+      EXPECT_EQ(in_place, plaintext);
+    }
+  }
 }
 
 TEST(KernelTest, ShaNiMatchesScalarOnRandomInputs) {

@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -23,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/scratch_dir.h"
 #include "data/synthetic.h"
 #include "metric/distance.h"
 #include "mindex/pivot_set.h"
@@ -71,6 +71,7 @@ std::vector<VectorObject> MakeObjects(size_t count, uint64_t seed) {
 /// A handler (single node or sharded facade), the key that loaded it,
 /// and a loopback client for in-process protocol-level tests.
 struct World {
+  std::unique_ptr<ScratchDir> scratch;  // disk worlds; outlives the handler
   std::shared_ptr<metric::L2Distance> metric;
   std::unique_ptr<SecretKey> key;
   std::unique_ptr<net::RequestHandler> handler;
@@ -104,13 +105,8 @@ World MakeWorld(size_t num_shards, bool disk, size_t num_objects,
   options.bucket_capacity = 25;
   options.max_level = 4;
   if (disk) {
-    options.disk_path = testing::TempDir() + "/simcloud_cursor_" +
-                        std::to_string(seed) + "_" +
-                        std::to_string(num_shards) + ".bin";
-    std::remove(options.disk_path.c_str());
-    for (size_t s = 0; s < num_shards; ++s) {  // sharded per-shard files
-      std::remove((options.disk_path + "." + std::to_string(s)).c_str());
-    }
+    world.scratch = std::make_unique<ScratchDir>();
+    options.disk_path = world.scratch->File("cursor.bin");
   }
   if (num_shards <= 1) {
     auto server = EncryptedMIndexServer::Create(options, cursor_config);

@@ -17,7 +17,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -27,6 +26,7 @@
 
 #include "common/clock.h"
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
 #include "net/tcp.h"
@@ -103,8 +103,6 @@ class FailoverSoakTest
 
 TEST_P(FailoverSoakTest, ReplicaKillMidChurnLosesNoQueryAndRecovers) {
   const mindex::StorageKind storage_kind = GetParam();
-  const std::string tag =
-      storage_kind == mindex::StorageKind::kMemory ? "memory" : "disk";
   constexpr size_t kShards = 3;
   constexpr size_t kReplicas = 2;
 
@@ -136,19 +134,17 @@ TEST_P(FailoverSoakTest, ReplicaKillMidChurnLosesNoQueryAndRecovers) {
 
   // kShards x kReplicas shard servers; each replica holds its own full
   // copy of its shard (the facade's write fan-out keeps them identical).
+  const ScratchDir dir;  // declared first: removed after the servers stop
   std::vector<std::unique_ptr<EncryptedMIndexServer>> handlers;
   std::vector<std::unique_ptr<net::TcpServer>> servers;
-  std::vector<std::string> disk_paths;
   std::vector<std::vector<ShardEndpoint>> replica_sets(kShards);
   for (size_t s = 0; s < kShards; ++s) {
     for (size_t r = 0; r < kReplicas; ++r) {
       mindex::MIndexOptions replica_options = index_options;
       if (storage_kind == mindex::StorageKind::kDisk) {
         replica_options.storage_kind = mindex::StorageKind::kDisk;
-        replica_options.disk_path = testing::TempDir() + "/simcloud_failover_" +
-                                    tag + "_s" + std::to_string(s) + "r" +
-                                    std::to_string(r) + ".bucket";
-        disk_paths.push_back(replica_options.disk_path);
+        replica_options.disk_path = dir.File(
+            "s" + std::to_string(s) + "r" + std::to_string(r) + ".bucket");
       }
       auto handler = EncryptedMIndexServer::Create(replica_options);
       ASSERT_TRUE(handler.ok()) << handler.status().ToString();
@@ -339,10 +335,6 @@ TEST_P(FailoverSoakTest, ReplicaKillMidChurnLosesNoQueryAndRecovers) {
 
   facade->reset();  // stops the monitor before the servers go away
   for (auto& server : servers) server->Stop();
-  for (const std::string& path : disk_paths) {
-    std::remove(path.c_str());
-    std::remove((path + ".compact").c_str());
-  }
 }
 
 // Watch soak: a client watching through the facade must see every

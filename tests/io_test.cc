@@ -4,10 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "data/io.h"
 #include "data/synthetic.h"
 
@@ -15,17 +15,27 @@ namespace simcloud {
 namespace data {
 namespace {
 
-std::string WriteTempFile(const std::string& name,
-                          const std::string& contents) {
-  const std::string path = ::testing::TempDir() + "/" + name;
-  std::ofstream file(path, std::ios::trunc);
-  file << contents;
-  return path;
-}
+// Each test writes its files into a private directory, removed with the
+// fixture.
+class TempFileTest : public ::testing::Test {
+ protected:
+  std::string WriteTempFile(const std::string& name,
+                            const std::string& contents) {
+    const std::string path = dir_.File(name);
+    std::ofstream file(path, std::ios::trunc);
+    file << contents;
+    return path;
+  }
+
+  ScratchDir dir_;
+};
+
+class CsvTest : public TempFileTest {};
+class FastaTest : public TempFileTest {};
 
 // ------------------------------------------------------------------- CSV
 
-TEST(CsvTest, LoadsPlainMatrix) {
+TEST_F(CsvTest, LoadsPlainMatrix) {
   const std::string path = WriteTempFile("plain.csv",
                                          "1.5,2.5,3.5\n"
                                          "4,5,6\n"
@@ -37,10 +47,9 @@ TEST(CsvTest, LoadsPlainMatrix) {
   EXPECT_EQ((*objects)[2].id(), 2u);
   EXPECT_FLOAT_EQ((*objects)[0].values()[0], 1.5f);
   EXPECT_FLOAT_EQ((*objects)[2].values()[2], 200.0f);
-  std::remove(path.c_str());
 }
 
-TEST(CsvTest, HonorsHeaderCommentsAndTabs) {
+TEST_F(CsvTest, HonorsHeaderCommentsAndTabs) {
   const std::string path = WriteTempFile("fancy.tsv",
                                          "gene\tcond1\tcond2\n"
                                          "# a comment line\n"
@@ -55,10 +64,9 @@ TEST(CsvTest, HonorsHeaderCommentsAndTabs) {
   ASSERT_EQ(objects->size(), 2u);
   EXPECT_EQ((*objects)[0].dimension(), 2u);
   EXPECT_FLOAT_EQ((*objects)[1].values()[1], 4.0f);
-  std::remove(path.c_str());
 }
 
-TEST(CsvTest, NumericIdColumnIsHonored) {
+TEST_F(CsvTest, NumericIdColumnIsHonored) {
   const std::string path = WriteTempFile("ids.csv",
                                          "100,1,2\n"
                                          "200,3,4\n");
@@ -69,33 +77,29 @@ TEST(CsvTest, NumericIdColumnIsHonored) {
   EXPECT_EQ((*objects)[0].id(), 100u);
   EXPECT_EQ((*objects)[1].id(), 200u);
   EXPECT_EQ((*objects)[0].dimension(), 2u);
-  std::remove(path.c_str());
 }
 
-TEST(CsvTest, RejectsMalformedInput) {
+TEST_F(CsvTest, RejectsMalformedInput) {
   const std::string ragged = WriteTempFile("ragged.csv", "1,2,3\n4,5\n");
   EXPECT_FALSE(LoadVectorsCsv(ragged).ok());
-  std::remove(ragged.c_str());
 
   const std::string text = WriteTempFile("text.csv", "1,2\nfoo,bar\n");
   EXPECT_FALSE(LoadVectorsCsv(text).ok());
-  std::remove(text.c_str());
 
   const std::string empty = WriteTempFile("empty.csv", "");
   EXPECT_FALSE(LoadVectorsCsv(empty).ok());
-  std::remove(empty.c_str());
 
   EXPECT_FALSE(LoadVectorsCsv("/nonexistent/file.csv").ok());
 }
 
-TEST(CsvTest, SaveLoadRoundTrip) {
+TEST_F(CsvTest, SaveLoadRoundTrip) {
   MixtureOptions options;
   options.num_objects = 50;
   options.dimension = 7;
   options.seed = 5;
   const auto original = MakeGaussianMixture(options);
 
-  const std::string path = ::testing::TempDir() + "/roundtrip.csv";
+  const std::string path = dir_.File("roundtrip.csv");
   ASSERT_TRUE(SaveVectorsCsv(original, path).ok());
   CsvOptions load_options;
   load_options.id_column = 0;
@@ -110,12 +114,11 @@ TEST(CsvTest, SaveLoadRoundTrip) {
           << "row " << i << " dim " << d;
     }
   }
-  std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------------- FASTA
 
-TEST(FastaTest, LoadsMultiRecordFile) {
+TEST_F(FastaTest, LoadsMultiRecordFile) {
   const std::string path = WriteTempFile("genes.fasta",
                                          ">gene one\n"
                                          "ACGT\n"
@@ -130,32 +133,28 @@ TEST(FastaTest, LoadsMultiRecordFile) {
   EXPECT_EQ((*sequences)[1].sequence(), "GGGG");
   EXPECT_EQ((*sequences)[0].id(), 0u);
   EXPECT_EQ((*sequences)[1].id(), 1u);
-  std::remove(path.c_str());
 }
 
-TEST(FastaTest, HandlesWindowsLineEndings) {
+TEST_F(FastaTest, HandlesWindowsLineEndings) {
   const std::string path =
       WriteTempFile("crlf.fasta", ">a\r\nAC\r\nGT\r\n");
   auto sequences = LoadFasta(path);
   ASSERT_TRUE(sequences.ok());
   EXPECT_EQ((*sequences)[0].sequence(), "ACGT");
-  std::remove(path.c_str());
 }
 
-TEST(FastaTest, RejectsMalformedInput) {
+TEST_F(FastaTest, RejectsMalformedInput) {
   const std::string headerless =
       WriteTempFile("headerless.fasta", "ACGT\n");
   EXPECT_FALSE(LoadFasta(headerless).ok());
-  std::remove(headerless.c_str());
 
   const std::string empty = WriteTempFile("empty.fasta", "");
   EXPECT_FALSE(LoadFasta(empty).ok());
-  std::remove(empty.c_str());
 
   EXPECT_FALSE(LoadFasta("/nonexistent/genes.fasta").ok());
 }
 
-TEST(FastaTest, SaveLoadRoundTripWithLongSequences) {
+TEST_F(FastaTest, SaveLoadRoundTripWithLongSequences) {
   Rng rng(9);
   std::vector<metric::SequenceObject> original;
   static const char kBases[] = {'A', 'C', 'G', 'T'};
@@ -164,7 +163,7 @@ TEST(FastaTest, SaveLoadRoundTripWithLongSequences) {
     for (auto& c : s) c = kBases[rng.NextBounded(4)];
     original.emplace_back(i, std::move(s));
   }
-  const std::string path = ::testing::TempDir() + "/roundtrip.fasta";
+  const std::string path = dir_.File("roundtrip.fasta");
   ASSERT_TRUE(SaveFasta(original, path).ok());
   auto loaded = LoadFasta(path);
   ASSERT_TRUE(loaded.ok());
@@ -172,7 +171,6 @@ TEST(FastaTest, SaveLoadRoundTripWithLongSequences) {
   for (size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ((*loaded)[i].sequence(), original[i].sequence()) << i;
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "data/synthetic.h"
 #include "metric/dataset.h"
 #include "metric/distance.h"
@@ -253,8 +254,9 @@ TEST(GroundTruthTest, KnnHandlesSmallCollectionAndZeroK) {
 // --------------------------------------------------------------- Dataset
 
 TEST(DatasetTest, SaveLoadRoundTrip) {
+  const ScratchDir dir;
   auto dataset = data::MakeYeastLike(5);
-  const std::string path = testing::TempDir() + "/simcloud_dataset_test.bin";
+  const std::string path = dir.File("dataset.bin");
   ASSERT_TRUE(dataset.SaveToFile(path).ok());
   auto loaded = Dataset::LoadFromFile(path, "YEAST",
                                       std::make_shared<L1Distance>());
@@ -262,18 +264,17 @@ TEST(DatasetTest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded->size(), dataset.size());
   EXPECT_EQ(loaded->objects()[0], dataset.objects()[0]);
   EXPECT_EQ(loaded->objects().back(), dataset.objects().back());
-  std::remove(path.c_str());
 }
 
 TEST(DatasetTest, LoadRejectsGarbage) {
-  const std::string path = testing::TempDir() + "/simcloud_garbage.bin";
+  const ScratchDir dir;
+  const std::string path = dir.File("garbage.bin");
   FILE* f = fopen(path.c_str(), "wb");
   fputs("not a dataset", f);
   fclose(f);
   EXPECT_FALSE(Dataset::LoadFromFile(path, "x",
                                      std::make_shared<L1Distance>())
                    .ok());
-  std::remove(path.c_str());
 }
 
 TEST(DatasetTest, ExtractQueriesRemovesThem) {

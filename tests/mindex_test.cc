@@ -5,10 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "common/serialize.h"
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
@@ -391,7 +391,8 @@ TEST(MIndexTest, DiskAndMemoryBackedIndexesAgree) {
 
   MIndexOptions disk_options = mem_options;
   disk_options.storage_kind = StorageKind::kDisk;
-  disk_options.disk_path = testing::TempDir() + "/simcloud_mindex_disk.bin";
+  const ScratchDir dir;
+  disk_options.disk_path = dir.File("mindex_disk.bin");
   auto disk_index =
       BuildIndex(world.objects, world.pivots, *world.metric, disk_options);
 
@@ -410,7 +411,6 @@ TEST(MIndexTest, DiskAndMemoryBackedIndexesAgree) {
       EXPECT_EQ((*from_memory)[i].payload, (*from_disk)[i].payload);
     }
   }
-  std::remove(disk_options.disk_path.c_str());
 }
 
 // --------------------------------------------------------------- PivotSet

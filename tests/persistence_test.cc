@@ -11,6 +11,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "common/serialize.h"
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
@@ -272,18 +273,18 @@ TEST(PersistenceTest, SnapshotIsDeterministic) {
 }
 
 TEST(PersistenceTest, SaveLoadFileRoundTrip) {
+  const ScratchDir dir;
   TestWorld world = MakeWorld(250, 79);
   MIndexOptions options;
   options.bucket_capacity = 30;
   options.max_level = 4;
   auto index = BuildIndex(world, options);
 
-  const std::string path = ::testing::TempDir() + "/simcloud_snapshot.midx";
+  const std::string path = dir.File("snapshot.midx");
   ASSERT_TRUE(SaveIndex(*index, path).ok());
   auto loaded = LoadIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->size(), index->size());
-  std::remove(path.c_str());
 }
 
 TEST(PersistenceTest, SnapshotCompactsDeletedPayloads) {
@@ -312,15 +313,15 @@ TEST(PersistenceTest, SnapshotCompactsDeletedPayloads) {
 }
 
 TEST(PersistenceTest, CrashMidCompactionLosesAndDuplicatesNothing) {
+  const ScratchDir dir;
   TestWorld world = MakeWorld(300, 101);
   MIndexOptions options;
   options.bucket_capacity = 30;
   options.max_level = 4;
   options.storage_kind = StorageKind::kDisk;
-  options.disk_path = ::testing::TempDir() + "/simcloud_crash.bucket";
+  options.disk_path = dir.File("crash.bucket");
   const std::string temp_path = options.disk_path + ".compact";
-  const std::string snapshot_path =
-      ::testing::TempDir() + "/simcloud_crash.midx";
+  const std::string snapshot_path = dir.File("crash.midx");
   auto index = BuildIndex(world, options);
 
   // Delete a third, snapshot the durable state, remember the live set.
@@ -388,10 +389,6 @@ TEST(PersistenceTest, CrashMidCompactionLosesAndDuplicatesNothing) {
   auto report = (*recovered)->Compact();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_FALSE(report->compacted) << "fresh load starts with a clean log";
-
-  std::remove(options.disk_path.c_str());
-  std::remove(temp_path.c_str());
-  std::remove(snapshot_path.c_str());
 }
 
 TEST(PersistenceTest, RejectsCorruptedSnapshots) {
@@ -413,18 +410,18 @@ TEST(PersistenceTest, RejectsCorruptedSnapshots) {
 }
 
 TEST(PersistenceTest, DiskStorageSnapshotWithPathOverride) {
+  const ScratchDir dir;
   TestWorld world = MakeWorld(200, 97);
   MIndexOptions options;
   options.bucket_capacity = 30;
   options.max_level = 3;
   options.storage_kind = StorageKind::kDisk;
-  options.disk_path = ::testing::TempDir() + "/simcloud_original.bucket";
+  options.disk_path = dir.File("original.bucket");
   auto index = BuildIndex(world, options);
 
   auto snapshot = SerializeIndex(*index);
   ASSERT_TRUE(snapshot.ok());
-  const std::string override_path =
-      ::testing::TempDir() + "/simcloud_restored.bucket";
+  const std::string override_path = dir.File("restored.bucket");
   auto loaded = DeserializeIndex(*snapshot, override_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ((*loaded)->size(), index->size());
@@ -433,8 +430,6 @@ TEST(PersistenceTest, DiskStorageSnapshotWithPathOverride) {
   const VectorObject& query = world.objects[3];
   EXPECT_EQ(RangeIds(*index, world, query, 2.0),
             RangeIds(**loaded, world, query, 2.0));
-  std::remove(options.disk_path.c_str());
-  std::remove(override_path.c_str());
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -27,6 +26,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
 #include "net/tcp.h"
@@ -106,7 +106,6 @@ std::vector<VectorObject> MakeChurn(uint64_t seed) {
 
 TEST_P(PipelineSoakTest, PipelinedBatchesMatchOracleUnderChurn) {
   const PipelineConfig config = GetParam();
-  const std::string tag = ConfigName(config);
 
   const std::vector<VectorObject> stable = MakeStable(901);
   const std::vector<VectorObject> churn = MakeChurn(902);
@@ -126,18 +125,10 @@ TEST_P(PipelineSoakTest, PipelinedBatchesMatchOracleUnderChurn) {
   options.max_level = 4;
   options.compaction_trigger = 0.4;  // automatic compactions mid-churn
   options.cache_bytes = 256 * 1024;
-  std::vector<std::string> disk_paths;
+  const ScratchDir dir;  // declared before the handler: removed after it
   if (config.storage_kind == mindex::StorageKind::kDisk) {
     options.storage_kind = mindex::StorageKind::kDisk;
-    options.disk_path =
-        testing::TempDir() + "/simcloud_pipeline_" + tag + ".bucket";
-    if (config.num_shards <= 1) {
-      disk_paths.push_back(options.disk_path);
-    } else {
-      for (size_t i = 0; i < config.num_shards; ++i) {
-        disk_paths.push_back(options.disk_path + "." + std::to_string(i));
-      }
-    }
+    options.disk_path = dir.File("pipeline.bucket");
   }
 
   std::unique_ptr<net::RequestHandler> handler;
@@ -334,10 +325,6 @@ TEST_P(PipelineSoakTest, PipelinedBatchesMatchOracleUnderChurn) {
   }
 
   server.Stop();
-  for (const std::string& path : disk_paths) {
-    std::remove(path.c_str());
-    std::remove((path + ".compact").c_str());
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

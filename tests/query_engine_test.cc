@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "common/serialize.h"
 #include "data/synthetic.h"
 #include "mindex/mindex.h"
@@ -37,17 +38,12 @@ Bytes RandomPayload(Rng* rng, size_t max_len) {
 class FetchManyTest : public ::testing::TestWithParam<StorageKind> {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/simcloud_fetch_many_test.bin";
-    auto storage = MakeStorage(GetParam(), path_);
+    auto storage = MakeStorage(GetParam(), dir_.File("fetch_many.bin"));
     ASSERT_TRUE(storage.ok());
     storage_ = std::move(storage).value();
   }
-  void TearDown() override {
-    storage_.reset();
-    std::remove(path_.c_str());
-  }
 
-  std::string path_;
+  ScratchDir dir_;  // declared first: removed after the storage closes
   std::unique_ptr<BucketStorage> storage_;
 };
 
@@ -110,9 +106,8 @@ INSTANTIATE_TEST_SUITE_P(Backends, FetchManyTest,
                                            StorageKind::kDisk));
 
 TEST(DiskStorageTest, OperationsAfterCloseFailCleanly) {
-  const std::string path =
-      testing::TempDir() + "/simcloud_disk_close_test.bin";
-  auto storage = DiskStorage::Create(path);
+  const ScratchDir dir;
+  auto storage = DiskStorage::Create(dir.File("disk_close.bin"));
   ASSERT_TRUE(storage.ok());
   ASSERT_TRUE((*storage)->Store(Bytes{1, 2}).ok());
   ASSERT_TRUE((*storage)->Close().ok());
@@ -125,12 +120,11 @@ TEST(DiskStorageTest, OperationsAfterCloseFailCleanly) {
   const std::vector<PayloadHandle> handles = {0};
   EXPECT_EQ((*storage)->FetchMany(handles, &fetched).code(),
             StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
 }
 
 TEST(DiskStorageTest, TruncatedBackingFileIsCorruptionNotSilence) {
-  const std::string path =
-      testing::TempDir() + "/simcloud_disk_truncate_test.bin";
+  const ScratchDir dir;
+  const std::string path = dir.File("disk_truncate.bin");
   auto storage = DiskStorage::Create(path);
   ASSERT_TRUE(storage.ok());
   auto handle = (*storage)->Store(Bytes(64, 0xAB));
@@ -148,17 +142,13 @@ TEST(DiskStorageTest, TruncatedBackingFileIsCorruptionNotSilence) {
   const std::vector<PayloadHandle> handles = {*handle};
   EXPECT_EQ((*storage)->FetchMany(handles, &fetched).code(),
             StatusCode::kCorruption);
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------- PayloadCache
 
 class PayloadCacheTest : public ::testing::TestWithParam<StorageKind> {
  protected:
-  void SetUp() override {
-    path_ = testing::TempDir() + "/simcloud_payload_cache_test.bin";
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
+  void SetUp() override { path_ = dir_.File("payload_cache.bin"); }
 
   std::unique_ptr<PayloadCache> MakeCache(uint64_t capacity_bytes,
                                           size_t num_shards) {
@@ -168,6 +158,7 @@ class PayloadCacheTest : public ::testing::TestWithParam<StorageKind> {
                                           capacity_bytes, num_shards);
   }
 
+  ScratchDir dir_;
   std::string path_;
 };
 
@@ -246,12 +237,8 @@ class ParallelBatchTest : public ::testing::TestWithParam<StorageKind> {
     // The env override would make both indexes use the same thread
     // count, turning the comparison into a tautology.
     ::unsetenv("SIMCLOUD_QUERY_THREADS");
-    serial_path_ = testing::TempDir() + "/simcloud_parallel_serial.bin";
-    parallel_path_ = testing::TempDir() + "/simcloud_parallel_parallel.bin";
-  }
-  void TearDown() override {
-    std::remove(serial_path_.c_str());
-    std::remove(parallel_path_.c_str());
+    serial_path_ = dir_.File("parallel_serial.bin");
+    parallel_path_ = dir_.File("parallel_parallel.bin");
   }
 
   std::unique_ptr<MIndex> BuildIndex(
@@ -308,6 +295,7 @@ class ParallelBatchTest : public ::testing::TestWithParam<StorageKind> {
     }
   }
 
+  ScratchDir dir_;
   std::string serial_path_;
   std::string parallel_path_;
 };

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "mindex/payload_cache.h"
 #include "mindex/storage.h"
 
@@ -18,17 +18,12 @@ namespace {
 class StorageTest : public ::testing::TestWithParam<StorageKind> {
  protected:
   void SetUp() override {
-    path_ = testing::TempDir() + "/simcloud_storage_test.bin";
-    auto storage = MakeStorage(GetParam(), path_);
+    auto storage = MakeStorage(GetParam(), dir_.File("storage.bin"));
     ASSERT_TRUE(storage.ok());
     storage_ = std::move(storage).value();
   }
-  void TearDown() override {
-    storage_.reset();
-    std::remove(path_.c_str());
-  }
 
-  std::string path_;
+  ScratchDir dir_;  // declared first: removed after the storage closes
   std::unique_ptr<BucketStorage> storage_;
 };
 
@@ -176,9 +171,8 @@ TEST(DiskStorageTest, FetchManyCoalescesAcrossSegmentBoundary) {
   // End-to-end cousin of MergesRunsAcrossSegmentBoundaries: payloads
   // sized so consecutive stores straddle segment boundaries, fetched in
   // one batch and compared byte for byte.
-  const std::string path =
-      testing::TempDir() + "/simcloud_storage_segplan.bin";
-  auto created = DiskStorage::Create(path);
+  const ScratchDir dir;
+  auto created = DiskStorage::Create(dir.File("segplan.bin"));
   ASSERT_TRUE(created.ok());
   std::unique_ptr<DiskStorage> disk = std::move(created).value();
   Rng rng(7);
@@ -199,8 +193,6 @@ TEST(DiskStorageTest, FetchManyCoalescesAcrossSegmentBoundary) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(fetched[i], expected[i]) << "payload " << i;
   }
-  disk.reset();
-  std::remove(path.c_str());
 }
 
 TEST(StorageFactoryTest, DiskRequiresPath) {
@@ -214,8 +206,8 @@ TEST(StorageFactoryTest, DiskRejectsUnwritablePath) {
 }
 
 TEST(DiskStorageTest, SegmentAccountingTracksDeadSegments) {
-  const std::string path = testing::TempDir() + "/simcloud_segments.bin";
-  auto storage = DiskStorage::Create(path);
+  const ScratchDir dir;
+  auto storage = DiskStorage::Create(dir.File("segments.bin"));
   ASSERT_TRUE(storage.ok());
   // 40 KiB payloads against 64 KiB segments: payloads 0,1 start in
   // segment 0 (offsets 0 and 40 KiB), payloads 2,3 in segment 1.
@@ -238,13 +230,11 @@ TEST(DiskStorageTest, SegmentAccountingTracksDeadSegments) {
   stats = (*storage)->GetCompactionStats();
   EXPECT_EQ(stats.dead_segments, 1u);
   EXPECT_EQ(stats.dead_bytes, 2 * payload_size);
-  storage->reset();
-  std::remove(path.c_str());
 }
 
 TEST(DiskStorageTest, SegmentViewAndReleaseReclaimInPlace) {
-  const std::string path = testing::TempDir() + "/simcloud_seg_release.bin";
-  auto created = DiskStorage::Create(path);
+  const ScratchDir dir;
+  auto created = DiskStorage::Create(dir.File("seg_release.bin"));
   ASSERT_TRUE(created.ok());
   std::unique_ptr<DiskStorage> storage = std::move(created).value();
 
@@ -309,9 +299,6 @@ TEST(DiskStorageTest, SegmentViewAndReleaseReclaimInPlace) {
   auto fetched = storage->Fetch(*fresh);
   ASSERT_TRUE(fetched.ok());
   EXPECT_EQ(*fetched, Bytes(64, 0xEE));
-
-  storage.reset();
-  std::remove(path.c_str());
 }
 
 // Backend that recycles freed handle slots — the shape a compacted log
@@ -397,12 +384,10 @@ TEST(StorageTest, NamesIdentifyBackend) {
   auto mem = MakeStorage(StorageKind::kMemory, "");
   ASSERT_TRUE(mem.ok());
   EXPECT_EQ((*mem)->Name(), "memory");
-  const std::string path = testing::TempDir() + "/simcloud_named.bin";
-  auto disk = MakeStorage(StorageKind::kDisk, path);
+  const ScratchDir dir;
+  auto disk = MakeStorage(StorageKind::kDisk, dir.File("named.bin"));
   ASSERT_TRUE(disk.ok());
   EXPECT_EQ((*disk)->Name(), "disk");
-  disk->reset();
-  std::remove(path.c_str());
 }
 
 }  // namespace
