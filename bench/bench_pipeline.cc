@@ -26,9 +26,10 @@
 //   --metrics-overhead  skip the throughput matrix; instead gate the
 //                       cost of the obs registry: single-connection
 //                       depth-8 ping p99 with metrics on must stay
-//                       within 5% of the same cell with
-//                       obs::SetMetricsEnabled(false) (best-of-N min
-//                       p99 per mode, alternated to cancel drift).
+//                       within 5% (+1 us) of the same cell with
+//                       obs::SetMetricsEnabled(false) (median over
+//                       interleaved rounds of each round's on/off p99
+//                       ratio).
 
 #include <sys/resource.h>
 
@@ -413,10 +414,17 @@ void Run(bool smoke) {
 }
 
 /// The ci.sh observability gate: instrumented depth-8 single-connection
-/// ping p99 must stay within 5% of the same cell with the registry
-/// switched off in-process. Min-of-N per mode, modes alternated, so a
-/// background hiccup in one round cannot fail the gate; a 1 us epsilon
-/// keeps the 5% from collapsing to noise on sub-20 us pings.
+/// ping p99 must stay within 5% (+1 us) of the same cell with the
+/// registry switched off in-process. Each round runs one short cell per
+/// mode back to back and yields one on/off p99 ratio; the gate is the
+/// median ratio over many rounds. On a shared host, stalls of a
+/// millisecond or more land on a few cells and multiply their p99;
+/// short cells keep most rounds free of them, the pairing cancels the
+/// slower drift of the host, and the median drops the rounds a stall
+/// hit. A min over each mode separately, as before, let one lucky
+/// metrics-off cell fail the gate. The 1 us epsilon, scaled by the
+/// median metrics-off p99, keeps the 5% from collapsing to noise on
+/// sub-20 us pings.
 void RunMetricsOverhead(bool smoke) {
   RaiseFdLimit();
   mindex::MIndexOptions options;
@@ -429,17 +437,17 @@ void RunMetricsOverhead(bool smoke) {
   if (!server.Start(0).ok()) std::exit(1);
 
   const Bytes ping_request = secure::EncodePingRequest();
-  const size_t ops = smoke ? 4000 : 20000;
-  const int kRounds = 6;
+  const size_t ops = smoke ? 2000 : 5000;
+  const int kRounds = 151;
   const bool was_enabled = obs::MetricsEnabled();
 
   // Warm up connections, worker pool, and allocator before measuring.
-  RunCell(server.port(), 1, 8, ops / 4, ping_request);
+  RunCell(server.port(), 1, 8, 4 * ops, ping_request);
 
   // Alternate which mode runs first each round: the second cell of a
   // pair tends to run marginally faster (warmer caches, settled clock),
   // and a fixed order would credit that bias entirely to one mode.
-  double on_p99 = 0, off_p99 = 0;
+  std::vector<double> ratios, off_p99s;
   for (int round = 0; round < kRounds; ++round) {
     const bool on_first = (round % 2) == 0;
     double on = 0, off = 0;
@@ -450,24 +458,31 @@ void RunMetricsOverhead(bool smoke) {
           RunCell(server.port(), 1, 8, ops, ping_request).p99_us;
       (measure_on ? on : off) = p99;
     }
-    on_p99 = round == 0 ? on : std::min(on_p99, on);
-    off_p99 = round == 0 ? off : std::min(off_p99, off);
+    ratios.push_back(on / off);
+    off_p99s.push_back(off);
   }
   obs::SetMetricsEnabled(was_enabled);
 
-  const double budget_us = off_p99 * 1.05 + 1.0;
-  std::printf("metrics overhead: depth-8 ping p99 %.1f us instrumented vs "
-              "%.1f us off (budget %.1f us)\n",
-              on_p99, off_p99, budget_us);
-  if (on_p99 > budget_us) {
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double ratio = median(ratios);
+  const double off_p99 = median(off_p99s);
+  const double budget = 1.05 + 1.0 / off_p99;
+  std::printf("metrics overhead: depth-8 ping p99 instrumented/off ratio "
+              "%.3f (median of %d rounds; median off p99 %.1f us; budget "
+              "%.3f = 5%% + 1 us)\n",
+              ratio, kRounds, off_p99, budget);
+  if (ratio > budget) {
     std::fprintf(stderr,
-                 "FAIL: instrumented ping p99 %.1f us exceeds %.1f us "
-                 "(metrics-off p99 %.1f us + 5%% + 1 us)\n",
-                 on_p99, budget_us, off_p99);
+                 "FAIL: instrumented ping p99 is %.3fx metrics-off "
+                 "(budget %.3fx: 5%% + 1 us over %.1f us)\n",
+                 ratio, budget, off_p99);
     std::exit(1);
   }
-  std::printf("bench_pipeline metrics-overhead OK (%.1f us <= %.1f us)\n",
-              on_p99, budget_us);
+  std::printf("bench_pipeline metrics-overhead OK (%.3f <= %.3f)\n", ratio,
+              budget);
   server.Stop();
 }
 

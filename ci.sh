@@ -3,10 +3,12 @@
 # Mirrors .github/workflows/ci.yml so the same gate runs everywhere.
 #
 # Usage: ci.sh [--asan|--tsan|--scalar-crypto]
-#   --asan  build and run the test suite under AddressSanitizer (separate
-#           build tree; the churn/compaction soak tests are where lifetime
-#           bugs in payload-handle remapping would hide). Skips the bench
-#           smoke runs — sanitized timings are meaningless.
+#   --asan  build and run the test suite under AddressSanitizer plus
+#           UndefinedBehaviorSanitizer (separate build tree; the
+#           churn/compaction soak tests are where lifetime bugs in
+#           payload-handle remapping would hide). UBSan reports are fatal
+#           (-fno-sanitize-recover=undefined, set by CMakeLists.txt). Skips
+#           the bench smoke runs — sanitized timings are meaningless.
 #   --tsan  build under ThreadSanitizer and run the concurrency-facing
 #           suites (epoll/io_uring engines, pipelined clients, shard
 #           channels, the parallel query-engine fan-out, stats
@@ -20,13 +22,13 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 if [ "${1:-}" = "--asan" ]; then
-  echo "=== configure + build (AddressSanitizer) ==="
-  cmake -B build-asan -S . -DSIMCLOUD_SANITIZE=address
+  echo "=== configure + build (AddressSanitizer + UBSan) ==="
+  cmake -B build-asan -S . -DSIMCLOUD_SANITIZE=address,undefined
   cmake --build build-asan -j "$(nproc)"
 
-  echo "=== tier-1 tests under ASan ==="
+  echo "=== tier-1 tests under ASan + UBSan ==="
   ctest --test-dir build-asan --output-on-failure -j "$(nproc)" --timeout 300
-  echo "CI (asan) OK"
+  echo "CI (asan+ubsan) OK"
   exit 0
 fi
 

@@ -43,9 +43,13 @@ Result<Bytes> FromHex(const std::string& hex) {
 }
 
 bool ConstantTimeEquals(const Bytes& a, const Bytes& b) {
-  if (a.size() != b.size()) return false;
+  return a.size() == b.size() &&
+         ConstantTimeEquals(a.data(), b.data(), a.size());
+}
+
+bool ConstantTimeEquals(const uint8_t* a, const uint8_t* b, size_t len) {
   uint8_t diff = 0;
-  for (size_t i = 0; i < a.size(); ++i) diff |= a[i] ^ b[i];
+  for (size_t i = 0; i < len; ++i) diff |= a[i] ^ b[i];
   return diff == 0;
 }
 

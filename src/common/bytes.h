@@ -26,6 +26,8 @@ Result<Bytes> FromHex(const std::string& hex);
 /// Constant-time byte-sequence comparison (for MAC verification).
 /// Returns true iff `a` and `b` have equal length and contents.
 bool ConstantTimeEquals(const Bytes& a, const Bytes& b);
+/// Constant-time comparison of `len` bytes at `a` and `b`.
+bool ConstantTimeEquals(const uint8_t* a, const uint8_t* b, size_t len);
 
 /// Overwrites `data`'s contents with zeros through a volatile pointer
 /// (so the store cannot be optimized away) and then clears the buffer.

@@ -51,14 +51,33 @@ class AeadCipher {
 
   /// Encrypts and authenticates `plaintext`, binding `associated_data`
   /// (not transmitted) into the tag. Returns iv || ciphertext || tag.
+  /// A thin wrapper over SealInto.
   Result<Bytes> Seal(const Bytes& plaintext,
                      const Bytes& associated_data = {}) const;
 
   /// Verifies the tag (constant-time) and decrypts. Returns Corruption if
   /// the buffer is malformed or the tag does not match — in that case no
-  /// plaintext is revealed.
+  /// plaintext is revealed. A thin wrapper over OpenInto.
   Result<Bytes> Open(const Bytes& sealed,
                      const Bytes& associated_data = {}) const;
+
+  /// Seals plaintext[0..len) under a fresh random IV, writing
+  /// iv || ciphertext || tag to out[0..SealedSize(len)) — the one seal
+  /// implementation. `plaintext` may be `out + kIvSize` (sealing in
+  /// place) but must not overlap `out` otherwise. A pointer may be null
+  /// when its length is 0.
+  Status SealInto(const uint8_t* plaintext, size_t len,
+                  const uint8_t* associated_data, size_t ad_len,
+                  uint8_t* out) const;
+
+  /// Verifies the tag over sealed[0..sealed_len) where it lies and only
+  /// then decrypts into out[0..sealed_len - kIvSize - kTagSize) — the one
+  /// open implementation. `out` may be `sealed + kIvSize` (opening in
+  /// place) but must not overlap `sealed` otherwise. On Corruption (too
+  /// short, tag mismatch) nothing is written to `out`.
+  Status OpenInto(const uint8_t* sealed, size_t sealed_len,
+                  const uint8_t* associated_data, size_t ad_len,
+                  uint8_t* out) const;
 
   /// Size in bytes of Seal()'s output for an n-byte plaintext.
   static size_t SealedSize(size_t plaintext_size) {
@@ -70,9 +89,11 @@ class AeadCipher {
       : enc_(std::make_shared<Cipher>(std::move(enc))),
         mac_state_(mac_key) {}
 
-  /// Computes the tag over (len(ad) || ad || iv_and_ciphertext).
-  Bytes ComputeTag(const Bytes& iv_and_ciphertext,
-                   const Bytes& associated_data) const;
+  /// Writes the tag over (len(ad) || ad || iv_and_ciphertext) to
+  /// tag[0..kTagSize).
+  void ComputeTag(const uint8_t* iv_and_ciphertext, size_t len,
+                  const uint8_t* associated_data, size_t ad_len,
+                  uint8_t* tag) const;
 
   std::shared_ptr<Cipher> enc_;
   /// Precomputed HMAC key schedule: tagging pays only the message

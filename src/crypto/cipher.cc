@@ -12,21 +12,10 @@ namespace crypto {
 namespace {
 constexpr size_t kBlock = Aes::kBlockSize;
 
-// The mode kernels below are routed through AES-NI when the dispatcher
-// enabled it. Scalar and hardware kernels are bit-identical
-// (cross-checked in tests/crypto_test.cc), so callers never observe the
-// difference.
-
-// CTR keystream XOR.
-void CtrXor(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
-            uint8_t* out, size_t len) {
-  if (len == 0) return;
-  if (AesAccelerated()) {
-    AesNiCtrXor(aes.round_key_bytes(), aes.rounds(), iv, in, out, len);
-  } else {
-    ScalarAesCtrXor(aes, iv, in, out, len);
-  }
-}
+// The mode kernels below (and Cipher::CtrXor) are routed through AES-NI
+// when the dispatcher enabled it. Scalar and hardware kernels are
+// bit-identical (cross-checked in tests/crypto_test.cc), so callers never
+// observe the difference.
 
 // CBC over whole blocks; `len` is a multiple of kBlock.
 void CbcEncrypt(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
@@ -133,19 +122,28 @@ Result<Bytes> Cipher::DecryptCbc(const Bytes& ciphertext) const {
   return plaintext;
 }
 
+void Cipher::CtrXor(const uint8_t iv[kBlock], const uint8_t* in,
+                    uint8_t* out, size_t len) const {
+  if (len == 0) return;
+  if (AesAccelerated()) {
+    AesNiCtrXor(aes_.round_key_bytes(), aes_.rounds(), iv, in, out, len);
+  } else {
+    ScalarAesCtrXor(aes_, iv, in, out, len);
+  }
+}
+
 Result<Bytes> Cipher::EncryptCtr(const Bytes& plaintext,
                                  const Bytes& iv) const {
   Bytes out(kBlock + plaintext.size());
   std::memcpy(out.data(), iv.data(), kBlock);
-  CtrXor(aes_, iv.data(), plaintext.data(), out.data() + kBlock,
-         plaintext.size());
+  CtrXor(iv.data(), plaintext.data(), out.data() + kBlock, plaintext.size());
   return out;
 }
 
 Result<Bytes> Cipher::DecryptCtr(const Bytes& ciphertext) const {
   // CTR decryption is encryption of the body under the stored IV.
   Bytes out(ciphertext.size() - kBlock);
-  CtrXor(aes_, ciphertext.data(), ciphertext.data() + kBlock, out.data(),
+  CtrXor(ciphertext.data(), ciphertext.data() + kBlock, out.data(),
          out.size());
   return out;
 }

@@ -1,5 +1,7 @@
 #include "crypto/hmac.h"
 
+#include <cstring>
+
 #include "crypto/sha256.h"
 
 namespace simcloud {
@@ -39,10 +41,16 @@ Bytes HmacSha256State::Mac(const Bytes& message) const {
 }
 
 Bytes HmacSha256State::Stream::Finish() {
+  Bytes digest(Sha256::kDigestSize);
+  FinishInto(digest.data());
+  return digest;
+}
+
+void HmacSha256State::Stream::FinishInto(uint8_t* out) {
   const auto inner_digest = inner_.Finish();
   outer_.Update(inner_digest.data(), inner_digest.size());
   const auto digest = outer_.Finish();
-  return Bytes(digest.begin(), digest.end());
+  std::memcpy(out, digest.data(), digest.size());
 }
 
 Bytes HmacSha256(const Bytes& key, const Bytes& message) {

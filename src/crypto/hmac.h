@@ -43,6 +43,8 @@ class HmacSha256State {
     void Update(const Bytes& data) { inner_.Update(data); }
     /// Finalizes HMAC over everything updated so far; single use.
     Bytes Finish();
+    /// Finish() into out[0..Sha256::kDigestSize), without allocating.
+    void FinishInto(uint8_t* out);
 
    private:
     friend class HmacSha256State;

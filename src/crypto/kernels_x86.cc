@@ -17,8 +17,6 @@
 
 #include <immintrin.h>
 
-#include <cstring>
-
 namespace simcloud {
 namespace crypto {
 
@@ -28,14 +26,6 @@ const bool kShaNiKernelCompiled = true;
 }  // namespace internal
 
 namespace {
-
-// Big-endian increment of the rightmost 8 counter bytes — the same
-// convention as cipher.cc's IncrementCounter.
-inline void IncrementCtr(uint8_t counter[16]) {
-  for (int i = 15; i >= 8; --i) {
-    if (++counter[i] != 0) break;
-  }
-}
 
 inline __m128i EncryptOne(__m128i block, const __m128i* keys, int rounds) {
   block = _mm_xor_si128(block, keys[0]);
@@ -69,50 +59,58 @@ void AesNiCtrXor(const uint8_t* round_keys, int rounds, const uint8_t iv[16],
                  const uint8_t* in, uint8_t* out, size_t len) {
   __m128i keys[15];
   LoadRoundKeys(round_keys, rounds, keys);
-  uint8_t counter[16];
-  std::memcpy(counter, iv, 16);
+  // The counter lives byte-reversed in a register: lane 0 then holds the
+  // big-endian rightmost 8 counter bytes as a native u64, so
+  // _mm_add_epi64 steps it, wrapping mod 2^64 without carrying into the
+  // upper 8 bytes — the scalar reference's increment, with no memory
+  // round trip per block. One PSHUFB turns it back into a counter block.
+  const __m128i byte_swap =
+      _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+  const __m128i one = _mm_set_epi64x(0, 1);
+  __m128i counter = _mm_shuffle_epi8(Load(iv), byte_swap);
 
   size_t off = 0;
   // 8-block pipeline: AESENC has multi-cycle latency but single-cycle
   // throughput, so independent blocks hide the latency almost entirely.
+  // The block loops are unrolled by pragma, not left to the optimizer:
+  // at -O2 (the RelWithDebInfo default) GCC keeps them rolled, `blocks`
+  // then lives on the stack and every round round-trips memory, which
+  // cost about 4x in throughput.
   while (len - off >= 128) {
     __m128i blocks[8];
+#pragma GCC unroll 8
     for (int b = 0; b < 8; ++b) {
-      blocks[b] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(counter));
-      IncrementCtr(counter);
+      blocks[b] = _mm_xor_si128(_mm_shuffle_epi8(counter, byte_swap), keys[0]);
+      counter = _mm_add_epi64(counter, one);
     }
-    for (int b = 0; b < 8; ++b) blocks[b] = _mm_xor_si128(blocks[b], keys[0]);
     for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
       for (int b = 0; b < 8; ++b) {
         blocks[b] = _mm_aesenc_si128(blocks[b], keys[r]);
       }
     }
+#pragma GCC unroll 8
     for (int b = 0; b < 8; ++b) {
       blocks[b] = _mm_aesenclast_si128(blocks[b], keys[rounds]);
     }
+#pragma GCC unroll 8
     for (int b = 0; b < 8; ++b) {
-      const __m128i data = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(in + off + 16 * b));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + off + 16 * b),
-                       _mm_xor_si128(data, blocks[b]));
+      Store(out + off + 16 * b,
+            _mm_xor_si128(Load(in + off + 16 * b), blocks[b]));
     }
     off += 128;
   }
   // Remaining whole blocks plus the tail.
   while (off < len) {
-    const __m128i keystream = EncryptOne(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(counter)), keys,
-        rounds);
-    IncrementCtr(counter);
+    const __m128i keystream =
+        EncryptOne(_mm_shuffle_epi8(counter, byte_swap), keys, rounds);
+    counter = _mm_add_epi64(counter, one);
     const size_t n = len - off < 16 ? len - off : 16;
     if (n == 16) {
-      const __m128i data =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + off));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + off),
-                       _mm_xor_si128(data, keystream));
+      Store(out + off, _mm_xor_si128(Load(in + off), keystream));
     } else {
       uint8_t ks_bytes[16];
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(ks_bytes), keystream);
+      Store(ks_bytes, keystream);
       for (size_t i = 0; i < n; ++i) out[off + i] = in[off + i] ^ ks_bytes[i];
     }
     off += 16;

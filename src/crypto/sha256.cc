@@ -94,6 +94,7 @@ void Sha256::ProcessBlocks(const uint8_t* data, size_t blocks) {
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  if (len == 0) return;  // `data` may be null (an empty Bytes)
   total_len_ += len;
   // Top up a partially filled buffer first.
   if (buffer_len_ > 0) {

@@ -124,12 +124,19 @@ SecureChannel::~SecureChannel() { WipeBytes(&prk_); }
 
 namespace {
 
-/// The associated data binding a record to its direction and position.
-Bytes RecordAssociatedData(const char* label, uint64_t epoch, uint64_t seq) {
-  Bytes ad = LabelBytes(label);
-  AppendU64(epoch, &ad);
-  AppendU64(seq, &ad);
-  return ad;
+static_assert(sizeof(kC2sLabel) == sizeof(kS2cLabel));
+constexpr size_t kLabelSize = sizeof(kC2sLabel) - 1;
+constexpr size_t kRecordAdSize = kLabelSize + 16;
+
+/// The associated data binding a record to its direction and position,
+/// label | u64 epoch | u64 seq, written to ad[0..kRecordAdSize).
+void RecordAssociatedData(const char* label, uint64_t epoch, uint64_t seq,
+                          uint8_t* ad) {
+  std::memcpy(ad, label, kLabelSize);
+  for (int i = 0; i < 8; ++i) {
+    ad[kLabelSize + i] = static_cast<uint8_t>(epoch >> (8 * i));
+    ad[kLabelSize + 8 + i] = static_cast<uint8_t>(seq >> (8 * i));
+  }
 }
 
 }  // namespace
@@ -156,33 +163,48 @@ Status SecureChannel::Advance(Direction* dir, size_t plaintext_bytes) {
   return Status::OK();
 }
 
-Result<Bytes> SecureChannel::Seal(const Bytes& plaintext) {
-  const Bytes ad = RecordAssociatedData(send_.label, send_.epoch, send_.seq);
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes sealed, send_.aead->Seal(plaintext, ad));
-  if (sealed.size() > 0xFFFFFFFFull) {
+Result<Bytes> SecureChannel::Seal(const uint8_t* data, size_t len) {
+  const size_t sealed_len = crypto::AeadCipher::SealedSize(len);
+  if (sealed_len > 0xFFFFFFFFull) {
     return Status::InvalidArgument("record exceeds the u32 length prefix");
   }
-  Bytes record;
-  record.reserve(kRecordHeaderSize + sealed.size());
-  const uint32_t len = static_cast<uint32_t>(sealed.size());
+  uint8_t ad[kRecordAdSize];
+  RecordAssociatedData(send_.label, send_.epoch, send_.seq, ad);
+  Bytes record(kRecordHeaderSize + sealed_len);
   for (int i = 0; i < 4; ++i) {
-    record.push_back(static_cast<uint8_t>(len >> (8 * i)));
+    record[i] = static_cast<uint8_t>(sealed_len >> (8 * i));
   }
-  record.insert(record.end(), sealed.begin(), sealed.end());
-  SIMCLOUD_RETURN_NOT_OK(Advance(&send_, plaintext.size()));
+  SIMCLOUD_RETURN_NOT_OK(send_.aead->SealInto(
+      data, len, ad, sizeof(ad), record.data() + kRecordHeaderSize));
+  SIMCLOUD_RETURN_NOT_OK(Advance(&send_, len));
   return record;
+}
+
+Status SecureChannel::SealRecords(
+    const uint8_t* data, size_t len,
+    const std::function<Status(Bytes record)>& emit) {
+  size_t off = 0;
+  do {
+    const size_t n = std::min(kRecordPlaintextBytes, len - off);
+    SIMCLOUD_ASSIGN_OR_RETURN(Bytes record,
+                              Seal(n == 0 ? nullptr : data + off, n));
+    SIMCLOUD_RETURN_NOT_OK(emit(std::move(record)));
+    off += n;
+  } while (off < len);
+  return Status::OK();
 }
 
 Status SecureChannel::Ingest(const uint8_t* data, size_t len,
                              size_t* consumed, Bytes* plain) {
   *consumed = 0;
   SIMCLOUD_RETURN_NOT_OK(broken_);
+  constexpr size_t kMinSealed =
+      crypto::AeadCipher::kIvSize + crypto::AeadCipher::kTagSize;
   for (;;) {
     const size_t avail = len - *consumed;
     if (avail < kRecordHeaderSize) return Status::OK();
     const uint32_t sealed_len = LoadLE32(data + *consumed);
-    if (sealed_len <
-            crypto::AeadCipher::kIvSize + crypto::AeadCipher::kTagSize ||
+    if (sealed_len < kMinSealed ||
         kRecordHeaderSize + static_cast<uint64_t>(sealed_len) >
             max_record_bytes_) {
       broken_ = Status::NetworkError("malformed secure record length " +
@@ -190,22 +212,28 @@ Status SecureChannel::Ingest(const uint8_t* data, size_t len,
       return broken_;
     }
     if (avail < kRecordHeaderSize + sealed_len) return Status::OK();
-    const uint8_t* body = data + *consumed + kRecordHeaderSize;
-    const Bytes sealed(body, body + sealed_len);
-    const Bytes ad = RecordAssociatedData(recv_.label, recv_.epoch,
-                                          recv_.seq);
-    Result<Bytes> opened = recv_.aead->Open(sealed, ad);
+    uint8_t ad[kRecordAdSize];
+    RecordAssociatedData(recv_.label, recv_.epoch, recv_.seq, ad);
+    // The whole record is here, so growing `*plain` by its plaintext
+    // size is backed by bytes actually received. OpenInto verifies the
+    // tag over the receive buffer before it writes a byte; on failure the
+    // tail is cut off again.
+    const size_t plain_len = sealed_len - kMinSealed;
+    const size_t plain_off = plain->size();
+    plain->resize(plain_off + plain_len);
+    Status opened = recv_.aead->OpenInto(
+        data + *consumed + kRecordHeaderSize, sealed_len, ad, sizeof(ad),
+        plain->data() + plain_off);
     if (!opened.ok()) {
       // Tampering, truncation, or a replayed/reordered record (the
       // expected sequence number has moved on). Nothing is decryptable
       // past this point; the connection must die.
+      plain->resize(plain_off);
       broken_ = Status::NetworkError(
-          "secure record failed authentication: " +
-          opened.status().message());
+          "secure record failed authentication: " + opened.message());
       return broken_;
     }
-    plain->insert(plain->end(), opened->begin(), opened->end());
-    Status advanced = Advance(&recv_, opened->size());
+    Status advanced = Advance(&recv_, plain_len);
     if (!advanced.ok()) {
       broken_ = advanced;
       return broken_;
@@ -288,7 +316,7 @@ Result<size_t> ServerHandshake::Consume(const uint8_t* data, size_t len,
     // Reject a non-handshake peer on the first bytes we can judge: a
     // plaintext or legacy client must be hard-closed, not served.
     const size_t check = std::min<size_t>(len, 4);
-    if (std::memcmp(data, kSecureChannelMagic, check) != 0) {
+    if (check > 0 && std::memcmp(data, kSecureChannelMagic, check) != 0) {
       return Status::PermissionDenied(
           "secure server rejected a plaintext (or non-handshake) client");
     }

@@ -34,6 +34,15 @@
 //   record = u32 LE sealed_length | AeadCipher::Seal(plaintext, ad)
 //   ad     = direction label ("sc-c2s" / "sc-s2c") | u64 epoch | u64 seq
 //
+// Records carry a byte stream, not frames: a record may hold several
+// frames, part of one, or nothing. Senders seal a large burst as it
+// flows (SealRecords), in records of kRecordPlaintextBytes = 64 KiB,
+// putting each record on the socket before sealing the next, so the
+// receiver opens record k while record k+1 is still being sealed. A
+// receiver accepts any record up to max_record_bytes, so a peer that
+// seals bigger records (earlier builds sealed up to 1 MiB) still
+// interoperates: the record size is a sender's choice, not protocol.
+//
 // Each direction derives its epoch key
 //   HKDF-Expand(HKDF-Extract(client_nonce || server_nonce, psk),
 //               label || u64 epoch, 32)
@@ -55,10 +64,11 @@
 // handshake failure at the secure client instead of a hang.
 //
 // Threading: a SecureChannel has independent send and receive halves.
-// Seal() calls must be externally serialized, Ingest() calls must be
-// externally serialized, but one Seal and one Ingest may run
-// concurrently (TcpTransport writes under its write lock while the
-// elected reader ingests; the server's event loop does both alone).
+// Seal()/SealRecords() calls must be externally serialized, Ingest()
+// calls must be externally serialized, but one sealing call and one
+// Ingest may run concurrently (TcpTransport seals and writes under its
+// write lock while the elected reader ingests; the server's event loop
+// does both alone).
 // Key material (PSK copies, PRKs, epoch keys, transcripts) is wiped on
 // destruction.
 
@@ -66,6 +76,7 @@
 #define SIMCLOUD_NET_SECURE_CHANNEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -129,21 +140,50 @@ class SecureChannel {
   static constexpr size_t kSealOverhead = kRecordHeaderSize +
                                           crypto::AeadCipher::kIvSize +
                                           crypto::AeadCipher::kTagSize;
+  /// Plaintext bytes per record when SealRecords slices a stream. A
+  /// receiver can release a record's plaintext only once the whole
+  /// record has arrived and its tag verified, so the record size bounds
+  /// how much a sender must seal before bytes move and how much a
+  /// receiver must buffer before it can start opening (TLS 1.3 caps
+  /// records at 16 KiB for the same reason). At 64 KiB the fixed
+  /// per-record costs — the IV draw, the AD, the record allocation and
+  /// the HMAC finalization — stay small next to the record's AES-CTR +
+  /// HMAC pass. A constant, not an option: receivers accept any record
+  /// up to max_record_bytes whatever size the sender picked.
+  static constexpr size_t kRecordPlaintextBytes = 64 * 1024;
 
   /// Wipes the PRK and both direction keys.
   ~SecureChannel();
 
-  /// Seals `plaintext` (one frame, or any stream segment) into one
-  /// length-prefixed record under the send direction's current
-  /// (epoch, seq), then advances the send schedule.
-  Result<Bytes> Seal(const Bytes& plaintext);
+  /// Seals data[0..len) (one frame, or any stream segment, of any length
+  /// the u32 prefix can carry) into ONE length-prefixed record under the
+  /// send direction's current (epoch, seq), then advances the send
+  /// schedule. The record is built in one allocation:
+  /// u32 len | iv | ciphertext | tag, each written in place.
+  Result<Bytes> Seal(const uint8_t* data, size_t len);
+  Result<Bytes> Seal(const Bytes& plaintext) {
+    return Seal(plaintext.data(), plaintext.size());
+  }
+
+  /// Seals data[0..len) as a stream of records of at most
+  /// kRecordPlaintextBytes each — ceil(len / kRecordPlaintextBytes)
+  /// records, one empty record when len == 0 — and hands each record to
+  /// `emit` before sealing the next, so the caller puts it on the wire
+  /// while the rest is still being sealed and the peer opens record k
+  /// while record k+1 is sealed. Stops at the first sealing or `emit`
+  /// error and returns it.
+  Status SealRecords(const uint8_t* data, size_t len,
+                     const std::function<Status(Bytes record)>& emit);
 
   /// Consumes complete records from data[0..len), appending their
   /// plaintext to `*plain` and the consumed byte count to `*consumed`
-  /// (partial trailing records are left for the caller's buffer). Any
-  /// authentication failure — tampering, replay, reordering, truncation,
-  /// a record beyond max_record_bytes — is a NetworkError; the caller
-  /// must close the connection, and the channel stays failed.
+  /// (partial trailing records are left for the caller's buffer). Each
+  /// record's tag is checked over `data` where it lies; only then is it
+  /// decrypted straight into the tail of `*plain`. Any authentication
+  /// failure — tampering, replay, reordering, truncation, a record
+  /// beyond max_record_bytes — is a NetworkError; no plaintext of the
+  /// failing record (or any later one) is appended, the caller must
+  /// close the connection, and the channel stays failed.
   Status Ingest(const uint8_t* data, size_t len, size_t* consumed,
                 Bytes* plain);
 

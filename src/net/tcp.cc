@@ -804,11 +804,21 @@ void TcpServer::DrainCompletions() {
   // connection once: a burst of pipelined completions leaves in one
   // send instead of one per response.
   std::vector<uint64_t> touched;
+  auto note_peak = [this](const Connection* conn) {
+    uint64_t peak = peak_output_queue_bytes_.load();
+    while (conn->out_bytes > peak &&
+           !peak_output_queue_bytes_.compare_exchange_weak(peak,
+                                                           conn->out_bytes)) {
+    }
+    PeakOutputQueueGauge()->Set(
+        static_cast<int64_t>(peak_output_queue_bytes_.load()));
+  };
   // Secure connections: a burst of responses for one connection is
-  // concatenated and sealed as ONE record (the record layer carries a
-  // byte stream, not frames), so the per-record AEAD cost — two SHA-256
-  // passes plus AES-CTR — is paid once per burst instead of once per
-  // response. `pending_seal` coalesces per connection within this drain.
+  // gathered into one buffer and sealed as a record stream (the record
+  // layer carries bytes, not frames), so the per-record AEAD cost is
+  // paid per 64 KiB of burst, not per response. `pending_seal`
+  // coalesces per connection within this drain; a lone response is
+  // moved in, not copied.
   std::unordered_map<uint64_t, Bytes> pending_seal;
   for (Completion& completion : done) {
     auto it = connections_.find(completion.gen);
@@ -823,58 +833,49 @@ void TcpServer::DrainCompletions() {
       conn->in_flight--;
       if (completion.legacy) conn->legacy_in_flight = false;
     }
+    touched.push_back(completion.gen);
     if (conn->channel) {
       Bytes& batch = pending_seal[completion.gen];
-      batch.insert(batch.end(), completion.frame.begin(),
-                   completion.frame.end());
-      touched.push_back(completion.gen);
+      if (batch.empty()) {
+        batch = std::move(completion.frame);
+      } else {
+        batch.insert(batch.end(), completion.frame.begin(),
+                     completion.frame.end());
+      }
       continue;
     }
     conn->out_bytes += completion.frame.size();
-    uint64_t peak = peak_output_queue_bytes_.load();
-    while (conn->out_bytes > peak &&
-           !peak_output_queue_bytes_.compare_exchange_weak(peak,
-                                                           conn->out_bytes)) {
-    }
-    PeakOutputQueueGauge()->Set(
-        static_cast<int64_t>(peak_output_queue_bytes_.load()));
+    note_peak(conn);
     conn->out.push_back(std::move(completion.frame));
-    touched.push_back(completion.gen);
   }
   for (auto& [gen, batch] : pending_seal) {
     auto it = connections_.find(gen);
     if (it == connections_.end()) continue;
     Connection* conn = it->second.get();
     // Sealing on the loop thread keeps the record sequence identical to
-    // the queue order (the channel is loop-owned, like `out`). Large
-    // bursts are split into ~1 MiB records — the record layer is a byte
-    // stream, so even mid-frame split points are legal — bounding every
-    // receiver's record buffer.
-    constexpr size_t kSealChunk = 1u << 20;
-    bool sealed_ok = true;
-    for (size_t off = 0; off < batch.size(); off += kSealChunk) {
-      const size_t chunk_len = std::min(kSealChunk, batch.size() - off);
-      Bytes chunk(batch.begin() + static_cast<ptrdiff_t>(off),
-                  batch.begin() + static_cast<ptrdiff_t>(off + chunk_len));
-      Result<Bytes> record = conn->channel->Seal(chunk);
-      if (!record.ok()) {
+    // the queue order (the channel is loop-owned, like `out`). Each
+    // 64 KiB slice is sealed straight from the burst buffer and put on
+    // the socket before the next is sealed, so the client opens record k
+    // while record k+1 is sealed here — a big response flows as a
+    // pipeline instead of waiting for its whole seal, and no receiver
+    // buffers more than one record before it can start opening.
+    bool send_failed = false;
+    Status sealed = conn->channel->SealRecords(
+        batch.data(), batch.size(), [&](Bytes record) -> Status {
+          conn->out_bytes += record.size();
+          note_peak(conn);
+          conn->out.push_back(std::move(record));
+          if (FlushOutput(conn)) return Status::OK();
+          send_failed = true;
+          return Status::NetworkError("send failed");
+        });
+    if (!sealed.ok()) {
+      if (!send_failed) {
         SIMCLOUD_LOG(kWarn) << "sealing a response burst failed: "
-                            << record.status().message();
-        CloseConnection(conn);
-        sealed_ok = false;
-        break;
+                            << sealed.message();
       }
-      conn->out_bytes += record->size();
-      conn->out.push_back(std::move(*record));
+      CloseConnection(conn);
     }
-    if (!sealed_ok) continue;
-    uint64_t peak = peak_output_queue_bytes_.load();
-    while (conn->out_bytes > peak &&
-           !peak_output_queue_bytes_.compare_exchange_weak(peak,
-                                                           conn->out_bytes)) {
-    }
-    PeakOutputQueueGauge()->Set(
-        static_cast<int64_t>(peak_output_queue_bytes_.load()));
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
@@ -1065,8 +1066,13 @@ Status TcpTransport::SubmitFrame(const Bytes& request, uint32_t id) {
     if (channel_) {
       written = [&]() -> Status {
         SIMCLOUD_ASSIGN_OR_RETURN(Bytes frame, EncodeFrame(id, request));
-        SIMCLOUD_ASSIGN_OR_RETURN(Bytes record, channel_->Seal(frame));
-        return WriteAll(fd_, record.data(), record.size());
+        // A large request leaves record by record: each 64 KiB record is
+        // on the wire (and being opened by the server) while the next is
+        // sealed.
+        return channel_->SealRecords(
+            frame.data(), frame.size(), [this](Bytes record) {
+              return WriteAll(fd_, record.data(), record.size());
+            });
       }();
     } else {
       written = WriteFrameInternal(fd_, id, request);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "crypto/aead.h"
@@ -547,6 +549,80 @@ TEST(AeadTest, SealedLengthEqualsPlaintextPlusOverhead) {
   }
 }
 
+TEST(AeadTest, PointerFormsInteroperateWithBytesForms) {
+  // SealInto/OpenInto are the one implementation under Seal/Open; bytes
+  // sealed by either form open under the other, in place too.
+  auto aead = AeadCipher::Create(Bytes(32, 0x07));
+  ASSERT_TRUE(aead.ok());
+  Rng rng(0x5EA1);
+  const Bytes ad = {'r', 'e', 'c'};
+  for (size_t len : {size_t{0}, size_t{1}, size_t{16}, size_t{129},
+                     size_t{65536}}) {
+    Bytes plaintext(len);
+    for (auto& b : plaintext) b = static_cast<uint8_t>(rng.NextU64());
+
+    // SealInto -> Open(Bytes).
+    Bytes sealed(AeadCipher::SealedSize(len));
+    ASSERT_TRUE(aead->SealInto(plaintext.data(), len, ad.data(), ad.size(),
+                               sealed.data())
+                    .ok());
+    auto opened = aead->Open(sealed, ad);
+    ASSERT_TRUE(opened.ok()) << "len=" << len;
+    EXPECT_EQ(*opened, plaintext);
+
+    // Seal(Bytes) -> OpenInto.
+    auto resealed = aead->Seal(plaintext, ad);
+    ASSERT_TRUE(resealed.ok());
+    Bytes out(len);
+    ASSERT_TRUE(aead->OpenInto(resealed->data(), resealed->size(), ad.data(),
+                               ad.size(), out.data())
+                    .ok());
+    EXPECT_EQ(out, plaintext);
+
+    // In place both ways: seal over plaintext already sitting behind the
+    // IV slot, then open back over the ciphertext.
+    Bytes buffer(AeadCipher::SealedSize(len));
+    std::copy(plaintext.begin(), plaintext.end(),
+              buffer.begin() + AeadCipher::kIvSize);
+    ASSERT_TRUE(aead->SealInto(buffer.data() + AeadCipher::kIvSize, len,
+                               ad.data(), ad.size(), buffer.data())
+                    .ok());
+    auto opened_in_place_sealed = aead->Open(buffer, ad);
+    ASSERT_TRUE(opened_in_place_sealed.ok());
+    EXPECT_EQ(*opened_in_place_sealed, plaintext);
+    ASSERT_TRUE(aead->OpenInto(buffer.data(), buffer.size(), ad.data(),
+                               ad.size(), buffer.data() + AeadCipher::kIvSize)
+                    .ok());
+    EXPECT_TRUE(std::equal(plaintext.begin(), plaintext.end(),
+                           buffer.begin() + AeadCipher::kIvSize));
+  }
+  // Empty plaintext and empty AD through null pointers.
+  Bytes empty_sealed(AeadCipher::SealedSize(0));
+  ASSERT_TRUE(
+      aead->SealInto(nullptr, 0, nullptr, 0, empty_sealed.data()).ok());
+  EXPECT_TRUE(aead->OpenInto(empty_sealed.data(), empty_sealed.size(),
+                             nullptr, 0, nullptr)
+                  .ok());
+  EXPECT_TRUE(aead->Open(empty_sealed).ok());
+}
+
+TEST(AeadTest, OpenIntoWritesNothingOnTagMismatch) {
+  auto aead = AeadCipher::Create(Bytes(16, 0x08));
+  ASSERT_TRUE(aead.ok());
+  auto sealed = aead->Seal(Bytes(100, 0x3C));
+  ASSERT_TRUE(sealed.ok());
+  (*sealed)[AeadCipher::kIvSize + 50] ^= 0x01;
+  Bytes out(100, 0xEE);
+  EXPECT_FALSE(aead->OpenInto(sealed->data(), sealed->size(), nullptr, 0,
+                              out.data())
+                   .ok());
+  EXPECT_EQ(out, Bytes(100, 0xEE));
+  EXPECT_FALSE(
+      aead->OpenInto(sealed->data(), AeadCipher::kIvSize, nullptr, 0,
+                     out.data())
+          .ok());
+}
+
 TEST(AeadTest, RejectsBadMasterKeySizes) {
   EXPECT_FALSE(AeadCipher::Create(Bytes(15, 0)).ok());
   EXPECT_FALSE(AeadCipher::Create(Bytes(0, 0)).ok());
@@ -614,6 +690,52 @@ TEST(KernelTest, AesNiCtrCounterCarryPropagates) {
   AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), iv.data(), input.data(),
               hw_out.data(), len);
   EXPECT_EQ(scalar_out, hw_out);
+}
+
+TEST(KernelTest, AesNiCtrCounterWrapMatchesScalar) {
+  // The rightmost 8 counter bytes are a big-endian u64 that wraps mod
+  // 2^64 without carrying into the upper 8 bytes. IVs 0-9 steps below
+  // the wrap put it inside the 8-block pipeline, at its edges and inside
+  // the single-block tail. Random inputs never get near it.
+  if (!AesNiKernelAvailable()) {
+    GTEST_SKIP() << "AES-NI not available on this CPU";
+  }
+  Rng rng(0x3A4B);
+  for (const size_t key_len : {16u, 24u, 32u}) {
+    auto aes = Aes::Create(RandomBytes(rng, key_len));
+    ASSERT_TRUE(aes.ok());
+    for (int below = 0; below <= 9; ++below) {
+      Bytes iv = RandomBytes(rng, 16);
+      for (int i = 8; i < 16; ++i) iv[i] = 0xFF;
+      iv[15] = static_cast<uint8_t>(0xFF - below);
+      for (size_t len = 0; len <= 300; ++len) {
+        const Bytes input = RandomBytes(rng, len);
+        Bytes scalar_out(len), hw_out(len);
+        ScalarAesCtrXor(*aes, iv.data(), input.data(), scalar_out.data(),
+                        len);
+        AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                    input.data(), hw_out.data(), len);
+        ASSERT_EQ(scalar_out, hw_out)
+            << "key_len=" << key_len << " below=" << below << " len=" << len;
+      }
+    }
+  }
+  // The wrap itself: after 0xFF..FF the next counter block keeps the
+  // upper 8 bytes and restarts the lower 8 at zero.
+  auto aes = Aes::Create(RandomBytes(rng, 32));
+  ASSERT_TRUE(aes.ok());
+  Bytes iv = RandomBytes(rng, 16);
+  for (int i = 8; i < 16; ++i) iv[i] = 0xFF;
+  Bytes wrapped = iv;
+  for (int i = 8; i < 16; ++i) wrapped[i] = 0x00;
+  const Bytes zeros(32, 0);
+  Bytes two_blocks(32), second_block(16);
+  AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), iv.data(), zeros.data(),
+              two_blocks.data(), 32);
+  AesNiCtrXor(aes->round_key_bytes(), aes->rounds(), wrapped.data(),
+              zeros.data(), second_block.data(), 16);
+  EXPECT_TRUE(std::equal(second_block.begin(), second_block.end(),
+                         two_blocks.begin() + 16));
 }
 
 TEST(KernelTest, AesNiCbcMatchesScalarOnRandomInputs) {

@@ -1,10 +1,10 @@
 // Secure-channel subsystem tests: HKDF vectors, the PSK mutual
 // handshake (wrong keys, tampered tags, replayed transcripts), the AEAD
 // record layer (tamper/replay/reorder/truncation, deterministic
-// rekeying), live TCP deployments in secure mode, downgrade attacks in
-// both directions, and a sniffing relay that asserts NO protocol
-// plaintext ever crosses the wire in secure mode (and that plaintext
-// mode is still byte-transparent).
+// rekeying, 64 KiB record streams), live TCP deployments in secure mode,
+// downgrade attacks in both directions, and a sniffing relay that
+// asserts NO protocol plaintext ever crosses the wire in secure mode
+// (and that plaintext mode is still byte-transparent).
 
 #include <gtest/gtest.h>
 
@@ -13,12 +13,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/serialize.h"
 #include "crypto/hkdf.h"
 #include "net/secure_channel.h"
@@ -435,6 +437,174 @@ TEST(SecureRekeyTest, ByteBudgetTriggersRekeyToo) {
 }
 
 // ---------------------------------------------------------------------------
+// Record streams: SealRecords slices a burst into 64 KiB records.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kRecordSlice = SecureChannel::kRecordPlaintextBytes;
+
+Bytes PatternBytes(size_t len, uint32_t seed) {
+  Bytes out(len);
+  Rng rng(seed);
+  for (auto& b : out) b = static_cast<uint8_t>(rng.NextU64());
+  return out;
+}
+
+/// Seals `plaintext` through SealRecords, concatenating the records.
+Result<Bytes> SealStream(SecureChannel* channel, const Bytes& plaintext) {
+  Bytes wire;
+  SIMCLOUD_RETURN_NOT_OK(channel->SealRecords(
+      plaintext.data(), plaintext.size(), [&wire](Bytes record) {
+        wire.insert(wire.end(), record.begin(), record.end());
+        return Status::OK();
+      }));
+  return wire;
+}
+
+/// Feeds `wire` to `channel` in pieces whose sizes `next_piece` picks,
+/// the way a socket delivers them, and returns the plaintext.
+template <typename NextPiece>
+Result<Bytes> IngestInPieces(SecureChannel* channel, const Bytes& wire,
+                             NextPiece&& next_piece) {
+  Bytes plain;
+  size_t delivered = 0;  // bytes the "socket" has handed over
+  size_t opened = 0;     // bytes of those the channel consumed
+  while (delivered < wire.size()) {
+    delivered += std::min(next_piece(), wire.size() - delivered);
+    size_t consumed = 0;
+    SIMCLOUD_RETURN_NOT_OK(channel->Ingest(
+        wire.data() + opened, delivered - opened, &consumed, &plain));
+    opened += consumed;
+  }
+  if (opened != wire.size()) return Status::Internal("records left over");
+  return plain;
+}
+
+TEST(SecureRecordStreamTest, SlicesIntoCeilRecordsAndRoundTrips) {
+  auto pair = Handshake(TestOptions(), TestOptions());
+  ASSERT_TRUE(pair.ok());
+  Rng rng(0x5EC5);
+  for (size_t len : {size_t{0}, size_t{1}, kRecordSlice - 1, kRecordSlice,
+                     kRecordSlice + 1, size_t{582000},
+                     size_t{(1u << 20) + 17}}) {
+    const uint64_t expected_records =
+        std::max<uint64_t>(1, (len + kRecordSlice - 1) / kRecordSlice);
+    const Bytes plaintext = PatternBytes(len, static_cast<uint32_t>(len));
+    const uint64_t sealed_before = pair->client->records_sealed();
+    const uint64_t opened_before = pair->server->records_opened();
+    auto wire = SealStream(pair->client.get(), plaintext);
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    EXPECT_EQ(pair->client->records_sealed() - sealed_before,
+              expected_records)
+        << "len=" << len;
+    EXPECT_EQ(wire->size(),
+              len + expected_records * SecureChannel::kSealOverhead);
+
+    // Random split points, a quarter of them single bytes.
+    auto plain = IngestInPieces(pair->server.get(), *wire, [&rng] {
+      return rng.NextBounded(4) == 0
+                 ? size_t{1}
+                 : 1 + static_cast<size_t>(rng.NextBounded(3 * kRecordSlice));
+    });
+    ASSERT_TRUE(plain.ok()) << "len=" << len << ": "
+                            << plain.status().ToString();
+    EXPECT_EQ(*plain, plaintext) << "len=" << len;
+    EXPECT_EQ(pair->server->records_opened() - opened_before,
+              expected_records)
+        << "len=" << len;
+  }
+}
+
+TEST(SecureRecordStreamTest, OneByteFeedsReassembleAcrossRecordBoundaries) {
+  auto pair = Handshake(TestOptions(), TestOptions());
+  ASSERT_TRUE(pair.ok());
+  const Bytes plaintext = PatternBytes(2 * kRecordSlice + 5, 9);
+  auto wire = SealStream(pair->client.get(), plaintext);
+  ASSERT_TRUE(wire.ok());
+  auto plain =
+      IngestInPieces(pair->server.get(), *wire, [] { return size_t{1}; });
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(*plain, plaintext);
+  EXPECT_EQ(pair->server->records_opened(), 3u);
+}
+
+TEST(SecureRecordStreamTest, TamperedRecordStopsTheStreamThere) {
+  // Nine records; flipping one bit in record k releases exactly records
+  // 0..k-1, nothing of k or later, and the channel stays broken.
+  const Bytes plaintext = PatternBytes(8 * kRecordSlice + 100, 11);
+  const size_t record_wire = kRecordSlice + SecureChannel::kSealOverhead;
+  for (size_t k : {size_t{0}, size_t{4}, size_t{8}}) {
+    auto pair = Handshake(TestOptions(), TestOptions());
+    ASSERT_TRUE(pair.ok());
+    auto wire = SealStream(pair->client.get(), plaintext);
+    ASSERT_TRUE(wire.ok());
+    ASSERT_EQ(pair->client->records_sealed(), 9u);
+    Bytes tampered = *wire;
+    tampered[k * record_wire + SecureChannel::kRecordHeaderSize +
+             crypto::AeadCipher::kIvSize + 7] ^= 0x04;
+
+    Bytes plain;
+    size_t consumed = 0;
+    Status status = pair->server->Ingest(tampered.data(), tampered.size(),
+                                         &consumed, &plain);
+    EXPECT_EQ(status.code(), StatusCode::kNetworkError) << "k=" << k;
+    EXPECT_EQ(plain.size(), k * kRecordSlice) << "k=" << k;
+    EXPECT_TRUE(std::equal(plain.begin(), plain.end(), plaintext.begin()));
+    EXPECT_EQ(pair->server->records_opened(), k);
+
+    // Sticky: the untampered remainder is refused too.
+    const size_t tail = k * record_wire;
+    EXPECT_FALSE(pair->server
+                     ->Ingest(wire->data() + tail, wire->size() - tail,
+                              &consumed, &plain)
+                     .ok());
+    EXPECT_EQ(plain.size(), k * kRecordSlice);
+  }
+}
+
+TEST(SecureRecordStreamTest, BurstRekeysMidStream) {
+  SecureChannelOptions options = TestOptions();
+  options.rekey_after_records = 3;
+  auto pair = Handshake(options, options);
+  ASSERT_TRUE(pair.ok());
+  const Bytes plaintext = PatternBytes(8 * kRecordSlice + 1, 13);
+  auto wire = SealStream(pair->client.get(), plaintext);
+  ASSERT_TRUE(wire.ok());
+  // Nine records at three per epoch: the burst crossed two epoch
+  // boundaries while it was being sealed.
+  EXPECT_EQ(pair->client->records_sealed(), 9u);
+  EXPECT_EQ(pair->client->send_epoch(), 3u);
+  Rng rng(3);
+  auto plain = IngestInPieces(pair->server.get(), *wire, [&rng] {
+    return 1 + static_cast<size_t>(rng.NextBounded(100000));
+  });
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(*plain, plaintext);
+  EXPECT_EQ(pair->server->recv_epoch(), 3u);
+}
+
+TEST(SecureRecordStreamTest, OneMebibyteRecordFromOlderSendersStillOpens) {
+  // Earlier senders sealed bursts into records of up to 1 MiB. The
+  // receive limit is max_record_bytes — here the one TcpServer derives
+  // from its default frame limit — not the 64 KiB slice.
+  SecureChannelOptions server_options = TestOptions();
+  server_options.max_record_bytes =
+      TcpServerOptions().max_frame_bytes + 8 + SecureChannel::kSealOverhead;
+  auto pair = Handshake(TestOptions(), server_options);
+  ASSERT_TRUE(pair.ok());
+  const Bytes plaintext = PatternBytes(1u << 20, 17);
+  auto record = pair->client->Seal(plaintext);  // one record, any size
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(pair->client->records_sealed(), 1u);
+  Rng rng(5);
+  auto plain = IngestInPieces(pair->server.get(), *record, [&rng] {
+    return 1 + static_cast<size_t>(rng.NextBounded(70000));
+  });
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(*plain, plaintext);
+  EXPECT_EQ(pair->server->records_opened(), 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Live TCP deployments.
 // ---------------------------------------------------------------------------
 
@@ -743,6 +913,62 @@ TEST(SniffTest, SecureWireCarriesOnlyHandshakeAndRecords) {
   ASSERT_GE(s2c.size(), kServerHelloSize);
   EXPECT_EQ(0, std::memcmp(s2c.data(), kSecureChannelMagic, 4));
   EXPECT_TRUE(IsPureRecordStream(s2c, kServerHelloSize));
+  server.Stop();
+}
+
+/// Plaintext size of each record in `capture` from `offset` on (which
+/// must parse exactly to the end).
+std::vector<size_t> RecordPlaintextSizes(const Bytes& capture,
+                                         size_t offset) {
+  std::vector<size_t> sizes;
+  while (offset + 4 <= capture.size()) {
+    uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(capture[offset + i]) << (8 * i);
+    }
+    sizes.push_back(len - crypto::AeadCipher::kIvSize -
+                    crypto::AeadCipher::kTagSize);
+    offset += 4 + len;
+  }
+  EXPECT_EQ(offset, capture.size());
+  return sizes;
+}
+
+TEST(SniffTest, MebibyteRequestAndResponseFlowAs64KiBRecords) {
+  // A >= 1 MiB echo over real TCP: both directions arrive byte-identical,
+  // and on the wire each frame is ceil(frame / 64 KiB) records — the
+  // request sealed record by record by the transport, the response by
+  // the server's event loop.
+  EchoHandler handler;
+  TcpServer server(&handler, SecureServerOptions());
+  ASSERT_TRUE(server.Start(0).ok());
+  const Bytes request = PatternBytes((1u << 20) + 333, 21);
+  Bytes c2s, s2c;
+  {
+    SniffRelay relay(server.port());
+    auto transport = TcpTransport::Connect(
+        "127.0.0.1", relay.port(), ChannelPolicy::kSecure, TestOptions());
+    ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+    auto response = (*transport)->Call(request);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(*response, request);
+    transport->reset();
+    relay.Join();
+    c2s = relay.client_to_server();
+    s2c = relay.server_to_client();
+  }
+  auto ceil_records = [](size_t bytes) {
+    return (bytes + kRecordSlice - 1) / kRecordSlice;
+  };
+  // Request frame: 8-byte pipelined header + payload. Response frame:
+  // header + u64 server time + ok flag + payload.
+  const std::vector<size_t> up =
+      RecordPlaintextSizes(c2s, kClientHelloSize + kClientFinishSize);
+  const std::vector<size_t> down = RecordPlaintextSizes(s2c, kServerHelloSize);
+  EXPECT_EQ(up.size(), ceil_records(8 + request.size()));
+  EXPECT_EQ(down.size(), ceil_records(8 + 8 + 1 + request.size()));
+  for (size_t size : up) EXPECT_LE(size, kRecordSlice);
+  for (size_t size : down) EXPECT_LE(size, kRecordSlice);
   server.Stop();
 }
 
