@@ -1,8 +1,8 @@
-// Crypto kernel throughput: AES-CTR (128-bit payload keys and the
-// secure channel's 256-bit record keys), AES-CBC (decrypt and encrypt)
-// and SHA-256 scalar vs hardware (AES-NI / SHA-NI), plus the dispatched
-// AEAD seal/open path every wire record and authenticated payload goes
-// through, and the secure channel's record stream: one 582,000-byte
+// Crypto kernel throughput: AES-CTR (128-bit payload keys and 256-bit
+// keys), AES-CBC (decrypt and encrypt), AES-256-GCM seal and open (the
+// secure channel's record AEAD) and SHA-256, scalar vs hardware (AES-NI,
+// PCLMULQDQ, SHA-NI), plus the dispatched at-rest payload AEAD
+// seal/open, and the secure channel's record stream: one 582,000-byte
 // response (knn_cophir's size) sealed in 64 KiB records and ingested
 // back, in microseconds per response.
 //
@@ -15,9 +15,10 @@
 // Acceptance gate (the run aborts when violated): when the AES-NI
 // kernels are available, accelerated AES-CTR and accelerated AES-CBC
 // decryption (the client's per-candidate payload open) must each be
-// >= 3x the scalar throughput. On scalar-only boxes (or under
+// >= 3x the scalar throughput, and so must AES-256-GCM seal and open
+// when PCLMULQDQ is there too. On scalar-only boxes (or under
 // SIMCLOUD_FORCE_SCALAR_CRYPTO=1 — which only affects the dispatched
-// AEAD section here) the gate is skipped and reported as such.
+// section here) the gate is skipped and reported as such.
 //
 // Usage: bench_crypto [--smoke]
 //   --smoke  smaller buffers and fewer passes, for CI.
@@ -34,6 +35,7 @@
 #include "crypto/aead.h"
 #include "crypto/aes.h"
 #include "crypto/cpu_features.h"
+#include "crypto/gcm.h"
 #include "crypto/hmac.h"
 #include "crypto/kernels.h"
 #include "crypto/sha256.h"
@@ -50,10 +52,53 @@ Bytes RandomBytes(Rng* rng, size_t len) {
   return out;
 }
 
+/// H = E_K(0^128), the GHASH key of the scalar GCM reference.
+struct GcmHashKey {
+  explicit GcmHashKey(const crypto::Aes& aes) {
+    const uint8_t zero[16] = {};
+    aes.EncryptBlock(zero, h);
+    if (crypto::PclmulKernelAvailable()) crypto::AesNiGcmInit(h, table);
+  }
+  uint8_t h[16];
+  alignas(16) uint8_t table[128] = {};  ///< H^1..H^8 for the kernel
+};
+
+bool GcmKernelAvailable() {
+  return crypto::AesNiKernelAvailable() && crypto::PclmulKernelAvailable();
+}
+
 /// Verifies the hardware kernels agree with the scalar references on
 /// random inputs (lengths chosen to hit partial-pipeline tails).
 void CrossCheckKernels(const crypto::Aes& aes) {
   Rng rng(2024);
+  if (GcmKernelAvailable()) {
+    const GcmHashKey key(aes);
+    for (size_t len : {0u, 1u, 15u, 16u, 17u, 127u, 128u, 129u, 4096u,
+                       65573u}) {
+      const Bytes input = RandomBytes(&rng, len);
+      const Bytes nonce = RandomBytes(&rng, 12);
+      const Bytes ad = RandomBytes(&rng, len % 41);
+      Bytes scalar(len), accel(len);
+      uint8_t scalar_tag[16], accel_tag[16];
+      crypto::ScalarGcmSeal(aes, key.h, nonce.data(), ad.data(), ad.size(),
+                            input.data(), scalar.data(), len, scalar_tag);
+      crypto::AesNiGcmSeal(aes.round_key_bytes(), aes.rounds(), key.table,
+                           nonce.data(), ad.data(), ad.size(), input.data(),
+                           accel.data(), len, accel_tag);
+      Bytes opened(len);
+      const bool match =
+          scalar == accel && std::memcmp(scalar_tag, accel_tag, 16) == 0 &&
+          crypto::AesNiGcmOpen(aes.round_key_bytes(), aes.rounds(),
+                               key.table, nonce.data(), ad.data(), ad.size(),
+                               scalar.data(), len, scalar_tag,
+                               opened.data()) &&
+          opened == input;
+      if (!match) {
+        std::fprintf(stderr, "FAIL: AES-NI GCM mismatch at len %zu\n", len);
+        std::exit(1);
+      }
+    }
+  }
   if (crypto::AesNiKernelAvailable()) {
     for (size_t len : {0u, 1u, 15u, 16u, 17u, 127u, 128u, 129u, 4096u,
                        4097u}) {
@@ -239,6 +284,7 @@ void Run(bool smoke) {
               obs::RuntimeBanner(
                   "bench_crypto",
                   "raw aes-ni=" + std::to_string(features.raw_aes_ni) +
+                      " pclmul=" + std::to_string(features.raw_pclmul) +
                       " sha-ni=" + std::to_string(features.raw_sha_ni) +
                       ", buffer " + std::to_string(buf_len / 1024) + " KiB")
                   .c_str());
@@ -303,6 +349,47 @@ void Run(bool smoke) {
   }
   PrintRow("aes-128-cbc-enc", cbc_enc_scalar, cbc_enc_accel);
 
+  // ------------------------------------------------------------ AES-GCM
+  // The record layer's shape: 256-bit key, 22 bytes of AD per message.
+  const GcmHashKey gcm_key(*aes256);
+  const Bytes nonce = RandomBytes(&rng, 12);
+  const Bytes ad = RandomBytes(&rng, 22);
+  uint8_t tag[16];
+  const double gcm_seal_scalar = MeasureMbps(buf_len, min_seconds, [&] {
+    crypto::ScalarGcmSeal(*aes256, gcm_key.h, nonce.data(), ad.data(),
+                          ad.size(), buffer.data(), out.data(), buf_len, tag);
+  });
+  // `out` now holds a valid ciphertext under `tag` for the open rows.
+  Bytes opened(buf_len);
+  const double gcm_open_scalar = MeasureMbps(buf_len, min_seconds, [&] {
+    if (!crypto::ScalarGcmOpen(*aes256, gcm_key.h, nonce.data(), ad.data(),
+                               ad.size(), out.data(), buf_len, tag,
+                               opened.data())) {
+      std::exit(1);
+    }
+  });
+  double gcm_seal_accel = -1, gcm_open_accel = -1;
+  if (GcmKernelAvailable()) {
+    Bytes sealed_accel(buf_len);
+    uint8_t tag_accel[16];
+    gcm_seal_accel = MeasureMbps(buf_len, min_seconds, [&] {
+      crypto::AesNiGcmSeal(aes256->round_key_bytes(), aes256->rounds(),
+                           gcm_key.table, nonce.data(), ad.data(), ad.size(),
+                           buffer.data(), sealed_accel.data(), buf_len,
+                           tag_accel);
+    });
+    gcm_open_accel = MeasureMbps(buf_len, min_seconds, [&] {
+      if (!crypto::AesNiGcmOpen(aes256->round_key_bytes(), aes256->rounds(),
+                                gcm_key.table, nonce.data(), ad.data(),
+                                ad.size(), sealed_accel.data(), buf_len,
+                                tag_accel, opened.data())) {
+        std::exit(1);
+      }
+    });
+  }
+  PrintRow("aes-256-gcm seal", gcm_seal_scalar, gcm_seal_accel);
+  PrintRow("aes-256-gcm open", gcm_open_scalar, gcm_open_accel);
+
   // ------------------------------------------------------------ SHA-256
   uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
                    0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
@@ -320,8 +407,9 @@ void Run(bool smoke) {
 
   // ----------------------------------- dispatched HMAC + AEAD seal/open
   // These run on whatever backend the process-wide dispatch picked
-  // (honouring SIMCLOUD_FORCE_SCALAR_CRYPTO) — the throughput the record
-  // layer and payload encryption actually see.
+  // (honouring SIMCLOUD_FORCE_SCALAR_CRYPTO) — the throughput the
+  // at-rest payload AEAD (AES-CTR + HMAC) and the record layer actually
+  // see.
   const crypto::HmacSha256State hmac(key);
   const double hmac_mbps = MeasureMbps(buf_len, min_seconds, [&] {
     hmac.Mac(buffer);
@@ -352,21 +440,33 @@ void Run(bool smoke) {
   if (crypto::AesNiKernelAvailable()) {
     const double ctr_speedup = ctr_accel / ctr_scalar;
     const double cbc_speedup = cbc_dec_accel / cbc_dec_scalar;
-    for (const auto& [kernel, speedup] :
-         {std::pair{"CTR", ctr_speedup}, std::pair{"CBC decrypt", cbc_speedup}}) {
+    std::vector<std::pair<const char*, double>> gated = {
+        {"AES-NI CTR", ctr_speedup}, {"AES-NI CBC decrypt", cbc_speedup}};
+    if (GcmKernelAvailable()) {
+      gated.push_back({"AES-NI+PCLMUL GCM seal",
+                       gcm_seal_accel / gcm_seal_scalar});
+      gated.push_back({"AES-NI+PCLMUL GCM open",
+                       gcm_open_accel / gcm_open_scalar});
+    }
+    for (const auto& [kernel, speedup] : gated) {
       if (speedup < 3.0) {
         std::fprintf(stderr,
-                     "FAIL: AES-NI %s is %.2fx the scalar kernel "
+                     "FAIL: %s is %.2fx the scalar kernel "
                      "(acceptance gate: >= 3x)\n",
                      kernel, speedup);
         std::exit(1);
       }
     }
-    std::printf("bench_crypto OK (aes-ctr %.1fx, aes-cbc-dec %.1fx >= 3x%s)\n",
-                ctr_speedup, cbc_speedup,
-                crypto::ShaNiKernelAvailable()
-                    ? ", sha-ni cross-checked"
-                    : "");
+    std::printf("bench_crypto OK (aes-ctr %.1fx, aes-cbc-dec %.1fx",
+                ctr_speedup, cbc_speedup);
+    if (GcmKernelAvailable()) {
+      std::printf(", aes-gcm seal %.1fx, open %.1fx",
+                  gcm_seal_accel / gcm_seal_scalar,
+                  gcm_open_accel / gcm_open_scalar);
+    }
+    std::printf(" >= 3x%s)\n", crypto::ShaNiKernelAvailable()
+                                    ? ", sha-ni cross-checked"
+                                    : "");
   } else {
     std::printf("bench_crypto OK (scalar only — AES-NI gate skipped)\n");
   }

@@ -15,11 +15,14 @@
 //     fixed thread pool: process thread count < 32 (the old engine spent
 //     one thread per connection, i.e. > 512);
 //   * SECURE CHANNEL: the same handler behind a ChannelPolicy::kSecure
-//     server must deliver >= 0.5x the plaintext depth-8 ping qps at
-//     depth 8 on one connection — the AEAD record layer's overhead must
-//     stay bounded. The secure section also reports handshake latency
-//     (mean / p99 over repeated connects) and encrypted knn-batch
-//     throughput.
+//     server must deliver >= 0.8x (0.5x on the scalar crypto reference)
+//     the plaintext depth-8 ping qps on one connection — the AES-GCM
+//     record layer's overhead must stay bounded. The ratio is paired:
+//     plaintext and secure cells run back to back over many rounds,
+//     alternating which goes first, and the gate takes the median of
+//     the per-round ratios. The secure section also reports handshake
+//     latency (mean / p99 over repeated connects) and encrypted
+//     knn-batch throughput.
 //
 // Usage: bench_pipeline [--smoke] [--metrics-overhead]
 //   --smoke             fewer connections (1, 16, 128 idle) and ops, for CI.
@@ -382,21 +385,41 @@ void Run(bool smoke) {
     std::printf("%-6s %6d %6zu %14.0f %12.1f\n", "sknn8", 1, depth, knn.qps,
                 knn.p99_us);
   }
-  // Re-measure once and keep the best (noisy 1-CPU CI boxes).
-  secure_ping_depth8 = std::max(
-      secure_ping_depth8,
-      RunCell(secure_server.port(), 1, 8, ping_ops, ping_request,
-              net::ChannelPolicy::kSecure, channel_options)
-          .qps);
-  const double secure_ratio = secure_ping_depth8 / single_conn_ping_qps[1];
-  std::printf("secure depth-8 ping: %.0f qps = %.2fx plaintext depth-8\n",
-              secure_ping_depth8, secure_ratio);
+  // The gate's ratio is paired, like the metrics-overhead gate: each
+  // round runs a plaintext and a secure depth-8 ping cell back to back,
+  // the leading mode alternating, and yields one secure/plaintext qps
+  // ratio; the gate takes the median over the rounds. Dividing two cells
+  // measured seconds apart let host drift and one stalled cell decide
+  // the verdict (0.77x-1.18x on one unchanged tree).
+  const int kRatioRounds = smoke ? 31 : 51;
+  const size_t ratio_ops = ping_ops / 2;
+  std::vector<double> ratios;
+  for (int round = 0; round < kRatioRounds; ++round) {
+    const bool secure_first = (round % 2) == 0;
+    double plain_qps = 0, secure_qps = 0;
+    for (int leg = 0; leg < 2; ++leg) {
+      const bool secure_leg = (leg == 0) == secure_first;
+      const CellResult cell =
+          secure_leg ? RunCell(secure_server.port(), 1, 8, ratio_ops,
+                               ping_request, net::ChannelPolicy::kSecure,
+                               channel_options)
+                     : RunCell(server.port(), 1, 8, ratio_ops, ping_request);
+      (secure_leg ? secure_qps : plain_qps) = cell.qps;
+    }
+    ratios.push_back(secure_qps / plain_qps);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double secure_ratio = ratios[ratios.size() / 2];
+  std::printf("secure depth-8 ping: %.0f qps; paired secure/plaintext "
+              "ratio %.2fx (median of %d rounds, range %.2f-%.2f)\n",
+              secure_ping_depth8, secure_ratio, kRatioRounds, ratios.front(),
+              ratios.back());
   secure_server.Stop();
-  // With the AES-NI + SHA-NI kernels the record layer's per-frame crypto
-  // is a rounding error, so the bar rises; the scalar reference keeps
-  // the original 0.5x bound (it still caps the wire at tens of MB/s).
-  const bool crypto_accelerated =
-      crypto::AesAccelerated() && crypto::ShaAccelerated();
+  // With the AES-NI + PCLMULQDQ kernels the record layer's per-frame
+  // crypto is a rounding error, so the bar rises; the scalar reference
+  // keeps the original 0.5x bound (it still caps the wire at a few
+  // MB/s).
+  const bool crypto_accelerated = crypto::GcmAccelerated();
   const double secure_gate = crypto_accelerated ? 0.8 : 0.5;
   if (secure_ratio < secure_gate) {
     std::fprintf(stderr,

@@ -1,5 +1,8 @@
 // Authenticated encryption (encrypt-then-MAC): AES-CTR for
-// confidentiality plus HMAC-SHA256 for integrity.
+// confidentiality plus HMAC-SHA256 for integrity — the at-rest payload
+// AEAD (PayloadScheme::kAuthenticated) and nothing else. The secure
+// channel's records use AES-GCM (gcm.h); this format is what stored
+// payloads carry, so it does not change with the wire.
 //
 // The paper's Encrypted M-Index protects confidentiality only — a
 // compromised server could silently corrupt stored ciphertexts and the
@@ -97,8 +100,8 @@ class AeadCipher {
 
   std::shared_ptr<Cipher> enc_;
   /// Precomputed HMAC key schedule: tagging pays only the message
-  /// compressions (the record layer tags every wire record), and no
-  /// raw key bytes stay resident on the heap.
+  /// compressions (every authenticated payload is tagged), and no raw
+  /// key bytes stay resident on the heap.
   HmacSha256State mac_state_;
 };
 

@@ -50,7 +50,7 @@ class Cipher {
   /// CTR mode only: XORs the keystream that starts at counter block `iv`
   /// over in[0..len) into out[0..len) — encryption and decryption are
   /// the same call. `in == out` is allowed; `len == 0` touches neither
-  /// pointer. The AEAD seals and opens records in place through this.
+  /// pointer. The payload AEAD seals and opens in place through this.
   void CtrXor(const uint8_t iv[16], const uint8_t* in, uint8_t* out,
               size_t len) const;
 

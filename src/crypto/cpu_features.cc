@@ -16,6 +16,7 @@ namespace {
 
 // cpuid feature bits (leaf 1 ECX / leaf 7 EBX). Named locally instead
 // of relying on <cpuid.h>'s bit_* macros, which vary across compilers.
+constexpr unsigned kLeaf1EcxPclmul = 1u << 1;
 constexpr unsigned kLeaf1EcxSsse3 = 1u << 9;
 constexpr unsigned kLeaf1EcxSse41 = 1u << 19;
 constexpr unsigned kLeaf1EcxAes = 1u << 25;
@@ -63,20 +64,31 @@ bool ShaNiKernelAvailable() {
          (bits.leaf1_ecx & kLeaf1EcxSse41) != 0;
 }
 
+bool PclmulKernelAvailable() {
+  const CpuidBits& bits = GetCpuidBits();
+  return internal::kPclmulKernelCompiled &&
+         (bits.leaf1_ecx & kLeaf1EcxPclmul) != 0 &&
+         (bits.leaf1_ecx & kLeaf1EcxSsse3) != 0 &&
+         (bits.leaf1_ecx & kLeaf1EcxSse41) != 0;
+}
+
 namespace {
 
 CpuFeatures Detect() {
   CpuFeatures features;
   features.raw_aes_ni = AesNiKernelAvailable();
   features.raw_sha_ni = ShaNiKernelAvailable();
+  features.raw_pclmul = PclmulKernelAvailable();
   features.aes_ni = features.raw_aes_ni;
   features.sha_ni = features.raw_sha_ni;
+  features.pclmul = features.raw_pclmul;
 
   const char* env = std::getenv("SIMCLOUD_FORCE_SCALAR_CRYPTO");
   if (env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0) {
     features.forced_scalar = true;
     features.aes_ni = false;
     features.sha_ni = false;
+    features.pclmul = false;
   }
   return features;
 }
@@ -92,6 +104,8 @@ std::string CryptoBackendSummary() {
   const CpuFeatures& features = GetCpuFeatures();
   std::string summary = "aes=";
   summary += features.aes_ni ? "aes-ni" : "scalar";
+  summary += " gcm=";
+  summary += features.aes_ni && features.pclmul ? "aes-ni+pclmul" : "scalar";
   summary += " sha=";
   summary += features.sha_ni ? "sha-ni" : "scalar";
   if (features.forced_scalar) summary += " (forced)";

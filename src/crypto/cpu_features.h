@@ -1,10 +1,11 @@
 // Runtime CPU-feature detection for the crypto fast paths.
 //
 // The crypto layer keeps two implementations of its hot kernels: the
-// from-scratch scalar reference (aes.cc / sha256.cc — the vector-tested
-// ground truth) and hardware kernels (kernels_x86.cc) that use AES-NI
-// and SHA-NI instructions. Which one runs is decided ONCE per process,
-// from cpuid, and can be forced back to the reference with
+// from-scratch scalar reference (aes.cc / gcm.cc / sha256.cc — the
+// vector-tested ground truth) and hardware kernels (kernels_x86.cc) that
+// use AES-NI, PCLMULQDQ and SHA-NI instructions. Which one runs is
+// decided ONCE per process, from cpuid, and can be forced back to the
+// reference with
 //   SIMCLOUD_FORCE_SCALAR_CRYPTO=1
 // so any box — and any CI job — can exercise the scalar paths
 // regardless of its hardware. Outputs are bit-identical either way; the
@@ -25,13 +26,17 @@ struct CpuFeatures {
   bool aes_ni = false;
   /// SHA256RNDS2/SHA256MSG1/SHA256MSG2 are available AND compiled in.
   bool sha_ni = false;
-  /// SIMCLOUD_FORCE_SCALAR_CRYPTO=1 was set: both flags above were
+  /// PCLMULQDQ (carry-less multiply, the GHASH kernel) is available AND
+  /// compiled in.
+  bool pclmul = false;
+  /// SIMCLOUD_FORCE_SCALAR_CRYPTO=1 was set: the flags above were
   /// cleared even though the silicon (raw_*) may support them.
   bool forced_scalar = false;
   /// Silicon capabilities before the environment override (tests
   /// cross-check accelerated vs scalar kernels whenever these are set).
   bool raw_aes_ni = false;
   bool raw_sha_ni = false;
+  bool raw_pclmul = false;
 };
 
 /// The process-wide feature set: cpuid + compile-time support, with the
@@ -44,10 +49,15 @@ const CpuFeatures& GetCpuFeatures();
 inline bool AesAccelerated() { return GetCpuFeatures().aes_ni; }
 /// True when SHA-256 (and so HMAC/HKDF/AEAD tags) runs on SHA-NI.
 inline bool ShaAccelerated() { return GetCpuFeatures().sha_ni; }
+/// True when AES-GCM (the secure channel's records) runs on the fused
+/// AES-NI + PCLMULQDQ kernel; it needs both.
+inline bool GcmAccelerated() {
+  return GetCpuFeatures().aes_ni && GetCpuFeatures().pclmul;
+}
 
 /// One-line human-readable backend summary for startup banners and
-/// bench output, e.g. "aes=aes-ni sha=sha-ni" or
-/// "aes=scalar sha=scalar (forced)".
+/// bench output, e.g. "aes=aes-ni gcm=aes-ni+pclmul sha=sha-ni" or
+/// "aes=scalar gcm=scalar sha=scalar (forced)".
 std::string CryptoBackendSummary();
 
 }  // namespace crypto

@@ -1,9 +1,9 @@
 // HKDF-SHA256 (RFC 5869): extract-then-expand key derivation.
 //
 // The secure-channel subsystem derives its handshake MAC key and the
-// per-direction, per-epoch record keys from one pre-shared key with
-// domain-separated HKDF invocations, so a single provisioned secret
-// yields an arbitrary schedule of independent keys.
+// per-direction, per-epoch record keys and IVs from one pre-shared key
+// with domain-separated HKDF invocations, so a single provisioned
+// secret yields an arbitrary schedule of independent keys.
 
 #ifndef SIMCLOUD_CRYPTO_HKDF_H_
 #define SIMCLOUD_CRYPTO_HKDF_H_

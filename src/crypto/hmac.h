@@ -22,9 +22,9 @@ Bytes HmacSha256(const Bytes& key, const Bytes& message);
 /// Precomputed HMAC-SHA256 key schedule: the SHA-256 states after
 /// absorbing the ipad/opad key blocks. One instance per key; Mac() then
 /// pays only the message compressions instead of re-hashing the padded
-/// key on every call — the AEAD record layer tags every wire record, so
-/// this halves the fixed per-record hash cost. Safe for concurrent
-/// Mac() calls (the states are copied per call).
+/// key on every call — the payload AEAD tags every authenticated
+/// payload, so this halves the fixed per-payload hash cost. Safe for
+/// concurrent Mac() calls (the states are copied per call).
 class HmacSha256State {
  public:
   explicit HmacSha256State(const Bytes& key);
@@ -35,7 +35,7 @@ class HmacSha256State {
   /// Incremental MAC over discontiguous parts under the same schedule:
   /// Update each piece in order, then Finish. Saves the concat copy the
   /// one-shot Mac() would force on callers with framed messages (the
-  /// AEAD tags every wire record over length-prefix || ad || iv ||
+  /// AEAD tags every payload over length-prefix || ad || iv ||
   /// ciphertext without gluing them together first).
   class Stream {
    public:

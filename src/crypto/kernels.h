@@ -1,10 +1,10 @@
 // Hot crypto kernels behind the runtime dispatcher (cpu_features.h).
 //
 // Each primitive exists twice: a scalar reference (implemented next to
-// the primitive it accelerates, in aes.cc / sha256.cc, and validated by
-// the FIPS/NIST vectors in tests/crypto_test.cc) and an x86 hardware
-// kernel (kernels_x86.cc, compiled with -maes/-msha for THAT file only
-// and gated by cpuid at runtime). Both are exposed here so the tests
+// the primitive it accelerates, in aes.cc / gcm.cc / sha256.cc, and
+// validated by the FIPS/NIST vectors in tests/crypto_test.cc) and an x86
+// hardware kernel (kernels_x86.cc, compiled with -maes/-mpclmul/-msha
+// for THAT file only and gated by cpuid at runtime). Both are exposed here so the tests
 // can cross-check them on random inputs whenever the hardware kernel is
 // available, independent of what the process-wide dispatch selected.
 //
@@ -74,6 +74,48 @@ void AesNiCbcDecrypt(const uint8_t* round_keys, int rounds,
                      size_t len);
 
 // ---------------------------------------------------------------------------
+// AES-GCM (NIST SP 800-38D), 12-byte nonce, 16-byte tag. The payload is
+// CTR-encrypted from counter block nonce || u32 BE 2 and the tag is
+// E_K(nonce || u32 BE 1) ^ GHASH_H(ad, ciphertext). Open verifies the
+// tag over in[0..len) in constant time and only then decrypts; on a
+// mismatch it returns false and writes nothing. in == out is allowed.
+// Callers keep len <= AesGcm::kMaxPlaintextBytes (gcm.h), so the 32-bit
+// block counter never wraps.
+// ---------------------------------------------------------------------------
+
+/// Scalar reference: SP 800-38D Algorithm 1 (bitwise GHASH under
+/// h = E_K(0^128)) over ScalarAesCtrXor.
+void ScalarGcmSeal(const Aes& aes, const uint8_t h[16],
+                   const uint8_t nonce[12], const uint8_t* ad, size_t ad_len,
+                   const uint8_t* in, uint8_t* out, size_t len,
+                   uint8_t tag[16]);
+bool ScalarGcmOpen(const Aes& aes, const uint8_t h[16],
+                   const uint8_t nonce[12], const uint8_t* ad, size_t ad_len,
+                   const uint8_t* in, size_t len, const uint8_t tag[16],
+                   uint8_t* out);
+
+/// True when the PCLMULQDQ GHASH kernel is compiled in AND the CPU
+/// supports it. The GCM kernel needs this AND AesNiKernelAvailable().
+bool PclmulKernelAvailable();
+
+/// Fills h_table[0..128) with H^1..H^8 (h = E_K(0^128)) in the kernel's
+/// representation. Must only be called when PclmulKernelAvailable().
+void AesNiGcmInit(const uint8_t h[16], uint8_t h_table[128]);
+
+/// AES-NI + PCLMULQDQ kernels: 8-block CTR batches folded into an
+/// 8-block-aggregated GHASH. `round_keys`/`rounds` as for AesNiCtrXor,
+/// `h_table` from AesNiGcmInit. Must only be called when both
+/// AesNiKernelAvailable() and PclmulKernelAvailable().
+void AesNiGcmSeal(const uint8_t* round_keys, int rounds,
+                  const uint8_t* h_table, const uint8_t nonce[12],
+                  const uint8_t* ad, size_t ad_len, const uint8_t* in,
+                  uint8_t* out, size_t len, uint8_t tag[16]);
+bool AesNiGcmOpen(const uint8_t* round_keys, int rounds,
+                  const uint8_t* h_table, const uint8_t nonce[12],
+                  const uint8_t* ad, size_t ad_len, const uint8_t* in,
+                  size_t len, const uint8_t tag[16], uint8_t* out);
+
+// ---------------------------------------------------------------------------
 // SHA-256 block compression: absorbs `blocks` 64-byte blocks into the
 // running state h[8] (FIPS-180-4 working variables, host byte order).
 // ---------------------------------------------------------------------------
@@ -92,6 +134,7 @@ namespace internal {
 // this architecture at all. cpuid (cpu_features.cc) decides the rest.
 extern const bool kAesNiKernelCompiled;
 extern const bool kShaNiKernelCompiled;
+extern const bool kPclmulKernelCompiled;
 }  // namespace internal
 
 }  // namespace crypto

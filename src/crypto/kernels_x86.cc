@@ -1,14 +1,14 @@
 // x86 hardware kernels: AES-NI CTR keystream, AES-NI CBC encryption and
-// decryption, and SHA-NI SHA-256 compression. This file — and ONLY this
-// file — is compiled with -maes/-msha/-mssse3/-msse4.1 (see
-// CMakeLists.txt), so nothing here may be called before a cpuid check:
+// decryption, AES-NI + PCLMULQDQ AES-GCM, and SHA-NI SHA-256
+// compression. This file — and ONLY this file — is compiled with
+// -maes/-mpclmul/-msha/-mssse3/-msse4.1 (see CMakeLists.txt), so nothing here may be called before a cpuid check:
 // the dispatchers in cpu_features.cc / kernels.h guarantee that.
 // Feature *detection* deliberately lives in cpu_features.cc, which is
 // built without SIMD flags, so a non-AES host never executes an
 // instruction from this translation unit.
 //
 // Correctness contract: bit-identical to the scalar references in
-// aes.cc / sha256.cc; tests/crypto_test.cc cross-checks every kernel on
+// aes.cc / gcm.cc / sha256.cc; tests/crypto_test.cc cross-checks every kernel on
 // random inputs whenever the hardware supports it.
 
 #include "crypto/kernels.h"
@@ -17,12 +17,15 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 namespace simcloud {
 namespace crypto {
 
 namespace internal {
 const bool kAesNiKernelCompiled = true;
 const bool kShaNiKernelCompiled = true;
+const bool kPclmulKernelCompiled = true;
 }  // namespace internal
 
 namespace {
@@ -147,18 +150,23 @@ void AesNiCbcDecrypt(const uint8_t* round_keys, int rounds,
   // 8-block pipeline: unlike encryption, every CBC block decrypts on its
   // own and only the final XOR needs the previous ciphertext block. All
   // eight ciphertext blocks are loaded before any store, so in == out is
-  // safe.
+  // safe. The block loops are unrolled by pragma for the same reason as
+  // AesNiCtrXor's: at -O2 they would stay rolled, with the blocks on the
+  // stack.
   while (len - off >= 128) {
     __m128i ct[8], blocks[8];
+#pragma GCC unroll 8
     for (int b = 0; b < 8; ++b) {
       ct[b] = Load(in + off + 16 * b);
       blocks[b] = _mm_xor_si128(ct[b], keys[0]);
     }
     for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
       for (int b = 0; b < 8; ++b) {
         blocks[b] = _mm_aesdec_si128(blocks[b], keys[r]);
       }
     }
+#pragma GCC unroll 8
     for (int b = 0; b < 8; ++b) {
       blocks[b] = _mm_aesdeclast_si128(blocks[b], keys[rounds]);
     }
@@ -175,6 +183,257 @@ void AesNiCbcDecrypt(const uint8_t* round_keys, int rounds,
     Store(out + off, _mm_xor_si128(DecryptOne(ct, keys, rounds), chain));
     chain = ct;
   }
+}
+
+// ---------------------------------------------------------------------------
+// AES-GCM. GHASH works on byte-reflected blocks (one PSHUFB per block),
+// where a PCLMULQDQ product followed by a 1-bit left shift and the
+// shift/XOR reduction below is multiplication in GF(2^128) as GCM
+// defines it (Gueron & Kounavis, "Intel Carry-Less Multiplication
+// Instruction and its Usage for Computing the GCM Mode", Algorithm 5).
+// Shift and reduction are linear, so eight products can be summed
+// unreduced and reduced once: with H^1..H^8 precomputed,
+//   Y' = (Y ^ X1)*H^8 ^ X2*H^7 ^ ... ^ X8*H^1,
+// which is eight Horner steps for the price of one reduction.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+inline __m128i ReverseBytes(__m128i v) {
+  return _mm_shuffle_epi8(
+      v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+}
+
+/// An unreduced 256-bit GF(2)[x] product sum: lo + mid * x^64 + hi * x^128.
+struct Clmul256 {
+  __m128i lo = _mm_setzero_si128();
+  __m128i mid = _mm_setzero_si128();
+  __m128i hi = _mm_setzero_si128();
+};
+
+/// acc += a * b (carry-less, schoolbook on 64-bit halves).
+inline void ClmulAdd(__m128i a, __m128i b, Clmul256* acc) {
+  acc->lo = _mm_xor_si128(acc->lo, _mm_clmulepi64_si128(a, b, 0x00));
+  acc->hi = _mm_xor_si128(acc->hi, _mm_clmulepi64_si128(a, b, 0x11));
+  acc->mid = _mm_xor_si128(
+      acc->mid, _mm_xor_si128(_mm_clmulepi64_si128(a, b, 0x01),
+                              _mm_clmulepi64_si128(a, b, 0x10)));
+}
+
+/// Reduces an accumulated product modulo the GCM polynomial
+/// x^128 + x^7 + x^2 + x + 1, in the reflected representation.
+inline __m128i GhashReduce(const Clmul256& acc) {
+  __m128i lo = _mm_xor_si128(acc.lo, _mm_slli_si128(acc.mid, 8));
+  __m128i hi = _mm_xor_si128(acc.hi, _mm_srli_si128(acc.mid, 8));
+  // Shift the 256-bit product left by one bit: reflected operands leave
+  // the carry-less product one bit short of the reflected result.
+  __m128i carry_lo = _mm_srli_epi32(lo, 31);
+  __m128i carry_hi = _mm_srli_epi32(hi, 31);
+  lo = _mm_slli_epi32(lo, 1);
+  hi = _mm_slli_epi32(hi, 1);
+  const __m128i cross = _mm_srli_si128(carry_lo, 12);
+  carry_hi = _mm_slli_si128(carry_hi, 4);
+  carry_lo = _mm_slli_si128(carry_lo, 4);
+  lo = _mm_or_si128(lo, carry_lo);
+  hi = _mm_or_si128(_mm_or_si128(hi, carry_hi), cross);
+  // First phase: fold the x^127, x^126 and x^121 multiples of the low
+  // half back in.
+  __m128i a = _mm_xor_si128(
+      _mm_xor_si128(_mm_slli_epi32(lo, 31), _mm_slli_epi32(lo, 30)),
+      _mm_slli_epi32(lo, 25));
+  const __m128i spill = _mm_srli_si128(a, 4);
+  lo = _mm_xor_si128(lo, _mm_slli_si128(a, 12));
+  // Second phase.
+  __m128i b = _mm_xor_si128(
+      _mm_xor_si128(_mm_srli_epi32(lo, 1), _mm_srli_epi32(lo, 2)),
+      _mm_srli_epi32(lo, 7));
+  b = _mm_xor_si128(b, spill);
+  lo = _mm_xor_si128(lo, b);
+  return _mm_xor_si128(hi, lo);
+}
+
+inline __m128i GhashMul(__m128i a, __m128i b) {
+  Clmul256 acc;
+  ClmulAdd(a, b, &acc);
+  return GhashReduce(acc);
+}
+
+/// Folds data[0..len), zero-padded to whole blocks, into the reflected
+/// GHASH value `y`. `h` holds H^1..H^8 (reflected).
+__m128i GhashBlocks(const __m128i h[8], const uint8_t* data, size_t len,
+                    __m128i y) {
+  size_t off = 0;
+  while (len - off >= 128) {
+    Clmul256 acc;
+    ClmulAdd(_mm_xor_si128(y, ReverseBytes(Load(data + off))), h[7], &acc);
+#pragma GCC unroll 8
+    for (int b = 1; b < 8; ++b) {
+      ClmulAdd(ReverseBytes(Load(data + off + 16 * b)), h[7 - b], &acc);
+    }
+    y = GhashReduce(acc);
+    off += 128;
+  }
+  for (; off < len; off += 16) {
+    __m128i block;
+    if (len - off >= 16) {
+      block = Load(data + off);
+    } else {
+      uint8_t padded[16] = {};
+      std::memcpy(padded, data + off, len - off);
+      block = Load(padded);
+    }
+    y = GhashMul(_mm_xor_si128(y, ReverseBytes(block)), h[0]);
+  }
+  return y;
+}
+
+/// The counter block nonce || u32 BE 1 (J0).
+inline __m128i GcmJ0(const uint8_t nonce[12]) {
+  uint8_t j0[16] = {};
+  std::memcpy(j0, nonce, 12);
+  j0[15] = 1;
+  return Load(j0);
+}
+
+/// tag = E_K(J0) ^ GHASH, after folding in the lengths block
+/// [len(A) in bits]_64 || [len(C) in bits]_64 (reflected, that block's
+/// halves swap and each becomes a native u64).
+inline __m128i GcmFinish(__m128i y, __m128i h1, __m128i ek_j0,
+                         size_t ad_len, size_t len) {
+  const __m128i lengths = _mm_set_epi64x(
+      static_cast<long long>(uint64_t{ad_len} * 8),
+      static_cast<long long>(uint64_t{len} * 8));
+  y = GhashMul(_mm_xor_si128(y, lengths), h1);
+  return _mm_xor_si128(ReverseBytes(y), ek_j0);
+}
+
+inline void LoadHashPowers(const uint8_t* h_table, __m128i h[8]) {
+  for (int i = 0; i < 8; ++i) h[i] = Load(h_table + 16 * i);
+}
+
+}  // namespace
+
+void AesNiGcmInit(const uint8_t h[16], uint8_t h_table[128]) {
+  const __m128i h1 = ReverseBytes(Load(h));
+  __m128i power = h1;
+  Store(h_table, power);
+  for (int i = 1; i < 8; ++i) {
+    power = GhashMul(power, h1);
+    Store(h_table + 16 * i, power);
+  }
+}
+
+void AesNiGcmSeal(const uint8_t* round_keys, int rounds,
+                  const uint8_t* h_table, const uint8_t nonce[12],
+                  const uint8_t* ad, size_t ad_len, const uint8_t* in,
+                  uint8_t* out, size_t len, uint8_t tag[16]) {
+  __m128i keys[15];
+  LoadRoundKeys(round_keys, rounds, keys);
+  __m128i h[8];
+  LoadHashPowers(h_table, h);
+  const __m128i j0 = GcmJ0(nonce);
+  const __m128i ek_j0 = EncryptOne(j0, keys, rounds);
+  // The counter lives byte-reversed, as in AesNiCtrXor, so its low 32
+  // bits are lane 0 of a native u32 vector and _mm_add_epi32 is GCM's
+  // inc32: it wraps within those 32 bits, never carrying into the
+  // nonce. (The caller's length bound keeps it from wrapping at all.)
+  const __m128i one = _mm_set_epi32(0, 0, 0, 1);
+  __m128i counter = _mm_add_epi32(ReverseBytes(j0), one);
+
+  __m128i y = GhashBlocks(h, ad, ad_len, _mm_setzero_si128());
+  size_t off = 0;
+  // One pass, stitched: while eight counter blocks go through the AES
+  // rounds, the previous batch's eight ciphertext blocks (`pending`,
+  // byte-reflected, with the running hash folded into the first) are
+  // multiplied by H^8..H^1, one block per round in rounds 1-8 (every key
+  // size has at least nine inner rounds). The AES units and the
+  // carry-less multiplier then work side by side instead of in turn.
+  // Every fixed 8-iteration loop is unrolled by pragma (see AesNiCtrXor).
+  __m128i pending[8] = {};
+  while (len - off >= 128) {
+    __m128i blocks[8];
+#pragma GCC unroll 8
+    for (int b = 0; b < 8; ++b) {
+      blocks[b] = _mm_xor_si128(ReverseBytes(counter), keys[0]);
+      counter = _mm_add_epi32(counter, one);
+    }
+    Clmul256 acc;
+#pragma GCC unroll 8
+    for (int r = 1; r <= 8; ++r) {
+#pragma GCC unroll 8
+      for (int b = 0; b < 8; ++b) {
+        blocks[b] = _mm_aesenc_si128(blocks[b], keys[r]);
+      }
+      ClmulAdd(pending[r - 1], h[8 - r], &acc);
+    }
+    for (int r = 9; r < rounds; ++r) {
+#pragma GCC unroll 8
+      for (int b = 0; b < 8; ++b) {
+        blocks[b] = _mm_aesenc_si128(blocks[b], keys[r]);
+      }
+    }
+    // The first batch had nothing pending: its products are discarded.
+    if (off > 0) y = GhashReduce(acc);
+#pragma GCC unroll 8
+    for (int b = 0; b < 8; ++b) {
+      const __m128i ct = _mm_xor_si128(
+          Load(in + off + 16 * b),
+          _mm_aesenclast_si128(blocks[b], keys[rounds]));
+      Store(out + off + 16 * b, ct);
+      pending[b] = ReverseBytes(ct);
+    }
+    pending[0] = _mm_xor_si128(pending[0], y);
+    off += 128;
+  }
+  if (off > 0) {
+    Clmul256 acc;
+#pragma GCC unroll 8
+    for (int b = 0; b < 8; ++b) ClmulAdd(pending[b], h[7 - b], &acc);
+    y = GhashReduce(acc);
+  }
+  // Remaining whole blocks plus the tail; a partial last block is
+  // hashed zero-padded.
+  for (; off < len; off += 16) {
+    const __m128i keystream =
+        EncryptOne(ReverseBytes(counter), keys, rounds);
+    counter = _mm_add_epi32(counter, one);
+    const size_t n = len - off < 16 ? len - off : 16;
+    uint8_t block[16] = {};
+    std::memcpy(block, in + off, n);
+    Store(block, _mm_xor_si128(Load(block), keystream));
+    std::memset(block + n, 0, 16 - n);
+    std::memcpy(out + off, block, n);
+    y = GhashMul(_mm_xor_si128(y, ReverseBytes(Load(block))), h[0]);
+  }
+  Store(tag, GcmFinish(y, h[0], ek_j0, ad_len, len));
+}
+
+bool AesNiGcmOpen(const uint8_t* round_keys, int rounds,
+                  const uint8_t* h_table, const uint8_t nonce[12],
+                  const uint8_t* ad, size_t ad_len, const uint8_t* in,
+                  size_t len, const uint8_t tag[16], uint8_t* out) {
+  __m128i keys[15];
+  LoadRoundKeys(round_keys, rounds, keys);
+  __m128i h[8];
+  LoadHashPowers(h_table, h);
+  const __m128i j0 = GcmJ0(nonce);
+  // Authenticate first, over the ciphertext where it lies; nothing is
+  // written before the tag has been compared (PTEST over the XOR: no
+  // data-dependent branch until the one verdict).
+  __m128i y = GhashBlocks(h, ad, ad_len, _mm_setzero_si128());
+  y = GhashBlocks(h, in, len, y);
+  const __m128i diff = _mm_xor_si128(
+      GcmFinish(y, h[0], EncryptOne(j0, keys, rounds), ad_len, len),
+      Load(tag));
+  if (!_mm_testz_si128(diff, diff)) return false;
+  // AesNiCtrXor steps the low 64 counter bits where GCM steps 32; with
+  // the payload starting at 2 and the caller's length bound, the low 32
+  // bits never wrap, so the keystreams are the same.
+  uint8_t counter[16];
+  Store(counter, j0);
+  counter[15] = 2;
+  AesNiCtrXor(round_keys, rounds, counter, in, out, len);
+  return true;
 }
 
 // SHA-NI SHA-256 (the canonical SHA256RNDS2/MSG1/MSG2 schedule; state
@@ -335,6 +594,7 @@ namespace crypto {
 namespace internal {
 const bool kAesNiKernelCompiled = false;
 const bool kShaNiKernelCompiled = false;
+const bool kPclmulKernelCompiled = false;
 }  // namespace internal
 
 void AesNiCtrXor(const uint8_t*, int, const uint8_t*, const uint8_t*,
@@ -344,6 +604,15 @@ void AesNiCbcEncrypt(const uint8_t*, int, const uint8_t*, const uint8_t*,
 void AesNiCbcDecrypt(const uint8_t*, int, const uint8_t*, const uint8_t*,
                      uint8_t*, size_t) {}
 void ShaNiSha256Blocks(uint32_t*, const uint8_t*, size_t) {}
+void AesNiGcmInit(const uint8_t*, uint8_t*) {}
+void AesNiGcmSeal(const uint8_t*, int, const uint8_t*, const uint8_t*,
+                  const uint8_t*, size_t, const uint8_t*, uint8_t*, size_t,
+                  uint8_t*) {}
+bool AesNiGcmOpen(const uint8_t*, int, const uint8_t*, const uint8_t*,
+                  const uint8_t*, size_t, const uint8_t*, size_t,
+                  const uint8_t*, uint8_t*) {
+  return false;
+}
 
 }  // namespace crypto
 }  // namespace simcloud

@@ -82,16 +82,25 @@ Bytes MasterPrk(const Bytes& psk, const Bytes& client_nonce,
   return prk;
 }
 
-/// The epoch key of one direction.
-Result<crypto::AeadCipher> DeriveEpochAead(const Bytes& prk,
-                                           const char* label,
-                                           uint64_t epoch) {
+/// The epoch key and static IV of one direction:
+///   key = HKDF-Expand(prk, label | u64 epoch, 32)
+///   iv  = HKDF-Expand(prk, label | u64 epoch | " iv", 12)
+Status DeriveEpochKeys(const Bytes& prk, const char* label, uint64_t epoch,
+                       std::optional<crypto::AesGcm>* aead,
+                       uint8_t static_iv[crypto::AesGcm::kNonceSize]) {
   Bytes info = LabelBytes(label);
   AppendU64(epoch, &info);
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes key, crypto::HkdfExpand(prk, info, 32));
-  Result<crypto::AeadCipher> aead = crypto::AeadCipher::Create(key);
+  Result<crypto::AesGcm> gcm = crypto::AesGcm::Create(key);
   WipeBytes(&key);
-  return aead;
+  SIMCLOUD_RETURN_NOT_OK(gcm.status());
+  info.insert(info.end(), {' ', 'i', 'v'});
+  SIMCLOUD_ASSIGN_OR_RETURN(
+      Bytes iv, crypto::HkdfExpand(prk, info, crypto::AesGcm::kNonceSize));
+  std::memcpy(static_iv, iv.data(), crypto::AesGcm::kNonceSize);
+  WipeBytes(&iv);
+  aead->emplace(std::move(*gcm));
+  return Status::OK();
 }
 
 }  // namespace
@@ -109,18 +118,20 @@ Result<std::unique_ptr<SecureChannel>> SecureChannel::Create(
   channel->max_record_bytes_ = options.max_record_bytes;
   channel->send_.label = is_client ? kC2sLabel : kS2cLabel;
   channel->recv_.label = is_client ? kS2cLabel : kC2sLabel;
-  SIMCLOUD_ASSIGN_OR_RETURN(
-      crypto::AeadCipher send_aead,
-      DeriveEpochAead(channel->prk_, channel->send_.label, 0));
-  SIMCLOUD_ASSIGN_OR_RETURN(
-      crypto::AeadCipher recv_aead,
-      DeriveEpochAead(channel->prk_, channel->recv_.label, 0));
-  channel->send_.aead = std::move(send_aead);
-  channel->recv_.aead = std::move(recv_aead);
+  for (Direction* dir : {&channel->send_, &channel->recv_}) {
+    SIMCLOUD_RETURN_NOT_OK(DeriveEpochKeys(channel->prk_, dir->label, 0,
+                                           &dir->aead, dir->static_iv));
+  }
   return channel;
 }
 
-SecureChannel::~SecureChannel() { WipeBytes(&prk_); }
+SecureChannel::~SecureChannel() {
+  WipeBytes(&prk_);
+  for (Direction* dir : {&send_, &recv_}) {
+    volatile uint8_t* iv = dir->static_iv;
+    for (size_t i = 0; i < sizeof(dir->static_iv); ++i) iv[i] = 0;
+  }
+}
 
 namespace {
 
@@ -139,6 +150,25 @@ void RecordAssociatedData(const char* label, uint64_t epoch, uint64_t seq,
   }
 }
 
+/// The record nonce: the direction's static IV XOR the u64 sequence
+/// number, big-endian and right-aligned (RFC 8446 §5.3). The epoch's key
+/// changes with every rekey and seq is unique within an epoch, so no
+/// (key, nonce) pair ever seals twice.
+void RecordNonce(const uint8_t static_iv[crypto::AesGcm::kNonceSize],
+                 uint64_t seq, uint8_t nonce[crypto::AesGcm::kNonceSize]) {
+  std::memcpy(nonce, static_iv, crypto::AesGcm::kNonceSize);
+  for (int i = 0; i < 8; ++i) {
+    nonce[crypto::AesGcm::kNonceSize - 1 - i] ^=
+        static_cast<uint8_t>(seq >> (8 * i));
+  }
+}
+
+// GCM's 32-bit block counter starts at 2 for the payload, so one record
+// may carry at most 2^36 - 32 bytes before it would wrap. The u32 length
+// prefix caps every record far below that (and max_record_bytes, at most
+// 2^31 + 128 by default, lower still), so a record can never wrap it.
+static_assert(uint64_t{0xFFFFFFFF} <= crypto::AesGcm::kMaxPlaintextBytes);
+
 }  // namespace
 
 Status SecureChannel::Advance(Direction* dir, size_t plaintext_bytes) {
@@ -152,9 +182,8 @@ Status SecureChannel::Advance(Direction* dir, size_t plaintext_bytes) {
   dir->epoch++;
   dir->seq = 0;
   dir->bytes_in_epoch = 0;
-  SIMCLOUD_ASSIGN_OR_RETURN(crypto::AeadCipher aead,
-                            DeriveEpochAead(prk_, dir->label, dir->epoch));
-  dir->aead = std::move(aead);
+  SIMCLOUD_RETURN_NOT_OK(DeriveEpochKeys(prk_, dir->label, dir->epoch,
+                                         &dir->aead, dir->static_iv));
   {
     static obs::Counter* const rekeys =
         obs::Registry::Default().GetCounter("simcloud_secure_rekeys_total");
@@ -164,18 +193,21 @@ Status SecureChannel::Advance(Direction* dir, size_t plaintext_bytes) {
 }
 
 Result<Bytes> SecureChannel::Seal(const uint8_t* data, size_t len) {
-  const size_t sealed_len = crypto::AeadCipher::SealedSize(len);
+  const uint64_t sealed_len = uint64_t{len} + kTagSize;
   if (sealed_len > 0xFFFFFFFFull) {
     return Status::InvalidArgument("record exceeds the u32 length prefix");
   }
   uint8_t ad[kRecordAdSize];
   RecordAssociatedData(send_.label, send_.epoch, send_.seq, ad);
+  uint8_t nonce[crypto::AesGcm::kNonceSize];
+  RecordNonce(send_.static_iv, send_.seq, nonce);
   Bytes record(kRecordHeaderSize + sealed_len);
   for (int i = 0; i < 4; ++i) {
     record[i] = static_cast<uint8_t>(sealed_len >> (8 * i));
   }
-  SIMCLOUD_RETURN_NOT_OK(send_.aead->SealInto(
-      data, len, ad, sizeof(ad), record.data() + kRecordHeaderSize));
+  uint8_t* body = record.data() + kRecordHeaderSize;
+  SIMCLOUD_RETURN_NOT_OK(send_.aead->SealInto(nonce, ad, sizeof(ad), data,
+                                              len, body, body + len));
   SIMCLOUD_RETURN_NOT_OK(Advance(&send_, len));
   return record;
 }
@@ -198,13 +230,11 @@ Status SecureChannel::Ingest(const uint8_t* data, size_t len,
                              size_t* consumed, Bytes* plain) {
   *consumed = 0;
   SIMCLOUD_RETURN_NOT_OK(broken_);
-  constexpr size_t kMinSealed =
-      crypto::AeadCipher::kIvSize + crypto::AeadCipher::kTagSize;
   for (;;) {
     const size_t avail = len - *consumed;
     if (avail < kRecordHeaderSize) return Status::OK();
     const uint32_t sealed_len = LoadLE32(data + *consumed);
-    if (sealed_len < kMinSealed ||
+    if (sealed_len < kTagSize ||
         kRecordHeaderSize + static_cast<uint64_t>(sealed_len) >
             max_record_bytes_) {
       broken_ = Status::NetworkError("malformed secure record length " +
@@ -214,16 +244,19 @@ Status SecureChannel::Ingest(const uint8_t* data, size_t len,
     if (avail < kRecordHeaderSize + sealed_len) return Status::OK();
     uint8_t ad[kRecordAdSize];
     RecordAssociatedData(recv_.label, recv_.epoch, recv_.seq, ad);
+    uint8_t nonce[crypto::AesGcm::kNonceSize];
+    RecordNonce(recv_.static_iv, recv_.seq, nonce);
     // The whole record is here, so growing `*plain` by its plaintext
     // size is backed by bytes actually received. OpenInto verifies the
     // tag over the receive buffer before it writes a byte; on failure the
     // tail is cut off again.
-    const size_t plain_len = sealed_len - kMinSealed;
+    const size_t plain_len = sealed_len - kTagSize;
     const size_t plain_off = plain->size();
     plain->resize(plain_off + plain_len);
-    Status opened = recv_.aead->OpenInto(
-        data + *consumed + kRecordHeaderSize, sealed_len, ad, sizeof(ad),
-        plain->data() + plain_off);
+    const uint8_t* body = data + *consumed + kRecordHeaderSize;
+    Status opened = recv_.aead->OpenInto(nonce, ad, sizeof(ad), body,
+                                         plain_len, body + plain_len,
+                                         plain->data() + plain_off);
     if (!opened.ok()) {
       // Tampering, truncation, or a replayed/reordered record (the
       // expected sequence number has moved on). Nothing is decryptable

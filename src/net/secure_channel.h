@@ -1,7 +1,7 @@
 // Transport security for the similarity cloud: a pre-shared-key mutual
-// handshake plus an AEAD record layer, built entirely from the repo's
-// own primitives (HKDF/HMAC-SHA256, AES-CTR encrypt-then-MAC AEAD,
-// OS-entropy nonces).
+// handshake plus an AES-256-GCM record layer, built entirely from the
+// repo's own primitives (HKDF/HMAC-SHA256 for the handshake and the key
+// schedule, AES-GCM for records, OS-entropy handshake nonces).
 //
 // The paper's trust model encrypts payloads *at rest* on the
 // honest-but-curious server, but the base wire protocol trusts the
@@ -29,10 +29,18 @@
 // before opening any record. Both tags bind both fresh nonces, so a
 // replayed handshake transcript fails against the new peer nonce.
 //
-// ## Record layer
+// ## Record layer (channel version 2)
 //
-//   record = u32 LE sealed_length | AeadCipher::Seal(plaintext, ad)
+//   record = u32 LE sealed_length | ciphertext | tag(16)
+//            (sealed_length = plaintext length + 16)
+//   ciphertext, tag = AES-256-GCM(key, nonce, plaintext, ad)
+//   nonce  = static_iv XOR u64 BE seq, right-aligned in 12 bytes
 //   ad     = direction label ("sc-c2s" / "sc-s2c") | u64 epoch | u64 seq
+//
+// There is no explicit IV on the wire (20 bytes of overhead per record):
+// as in TLS 1.3 (RFC 8446 §5.3), both ends derive the nonce from a
+// per-(direction, epoch) static IV and the record sequence number, so
+// sealing draws nothing from OS entropy.
 //
 // Records carry a byte stream, not frames: a record may hold several
 // frames, part of one, or nothing. Senders seal a large burst as it
@@ -43,16 +51,23 @@
 // seals bigger records (earlier builds sealed up to 1 MiB) still
 // interoperates: the record size is a sender's choice, not protocol.
 //
-// Each direction derives its epoch key
-//   HKDF-Expand(HKDF-Extract(client_nonce || server_nonce, psk),
-//               label || u64 epoch, 32)
+// Each direction derives its epoch key and static IV from
+//   prk = HKDF-Extract(client_nonce || server_nonce, psk)
+//   key = HKDF-Expand(prk, label || u64 epoch, 32)
+//   iv  = HKDF-Expand(prk, label || u64 epoch || " iv", 12)
 // and counts records per (epoch, sequence). The sequence pair is not
 // transmitted — both ends count records — so a replayed, reordered,
 // dropped or truncated record fails authentication and kills the
 // connection. After `rekey_after_records` records or
 // `rekey_after_bytes` plaintext bytes a direction advances its epoch
-// and re-derives its key; both ends observe the same record stream, so
-// the switch is deterministic and needs no signaling.
+// and re-derives its key and IV; both ends observe the same record
+// stream, so the switch is deterministic and needs no signaling. A key
+// therefore never sees a repeated nonce, and never more than
+// rekey_after_records records — far inside GCM's usage limits.
+//
+// A version-1 peer (AES-CTR + HMAC-SHA256 records with an explicit IV)
+// is refused at the hello with PermissionDenied: the record formats
+// differ and there is no negotiation.
 //
 // ## Downgrade protection
 //
@@ -82,7 +97,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "crypto/aead.h"
+#include "crypto/gcm.h"
 
 namespace simcloud {
 namespace net {
@@ -121,7 +136,7 @@ struct SecureChannelOptions {
 /// header (a default plaintext server sees a > 1 GiB declared length and
 /// closes), never valid UTF-8 protocol bytes.
 inline constexpr uint8_t kSecureChannelMagic[4] = {'S', 'C', 'H', 0xE5};
-inline constexpr uint8_t kSecureChannelVersion = 1;
+inline constexpr uint8_t kSecureChannelVersion = 2;
 inline constexpr size_t kChannelNonceSize = 32;
 inline constexpr size_t kChannelTagSize = 32;
 inline constexpr size_t kClientHelloSize = 5 + kChannelNonceSize;
@@ -136,30 +151,32 @@ class SecureChannel {
  public:
   /// u32 length prefix of every record.
   static constexpr size_t kRecordHeaderSize = 4;
-  /// Wire overhead of one record over its plaintext.
-  static constexpr size_t kSealOverhead = kRecordHeaderSize +
-                                          crypto::AeadCipher::kIvSize +
-                                          crypto::AeadCipher::kTagSize;
+  /// GCM tag closing every record.
+  static constexpr size_t kTagSize = crypto::AesGcm::kTagSize;
+  /// Wire overhead of one record over its plaintext: length prefix and
+  /// tag (the nonce is implicit).
+  static constexpr size_t kSealOverhead = kRecordHeaderSize + kTagSize;
   /// Plaintext bytes per record when SealRecords slices a stream. A
   /// receiver can release a record's plaintext only once the whole
   /// record has arrived and its tag verified, so the record size bounds
   /// how much a sender must seal before bytes move and how much a
   /// receiver must buffer before it can start opening (TLS 1.3 caps
   /// records at 16 KiB for the same reason). At 64 KiB the fixed
-  /// per-record costs — the IV draw, the AD, the record allocation and
-  /// the HMAC finalization — stay small next to the record's AES-CTR +
-  /// HMAC pass. A constant, not an option: receivers accept any record
+  /// per-record costs — the nonce and AD, the record allocation and the
+  /// GHASH finalization — stay small next to the record's AES-GCM
+  /// pass. A constant, not an option: receivers accept any record
   /// up to max_record_bytes whatever size the sender picked.
   static constexpr size_t kRecordPlaintextBytes = 64 * 1024;
 
-  /// Wipes the PRK and both direction keys.
+  /// Wipes the PRK and both direction IVs (the AES key schedules go with
+  /// the cipher objects).
   ~SecureChannel();
 
   /// Seals data[0..len) (one frame, or any stream segment, of any length
   /// the u32 prefix can carry) into ONE length-prefixed record under the
   /// send direction's current (epoch, seq), then advances the send
   /// schedule. The record is built in one allocation:
-  /// u32 len | iv | ciphertext | tag, each written in place.
+  /// u32 len | ciphertext | tag, each written in place.
   Result<Bytes> Seal(const uint8_t* data, size_t len);
   Result<Bytes> Seal(const Bytes& plaintext) {
     return Seal(plaintext.data(), plaintext.size());
@@ -199,21 +216,24 @@ class SecureChannel {
 
   struct Direction {
     const char* label = nullptr;  ///< "sc-c2s" or "sc-s2c"
-    std::optional<crypto::AeadCipher> aead;
+    std::optional<crypto::AesGcm> aead;     ///< the epoch's record key
+    uint8_t static_iv[crypto::AesGcm::kNonceSize] = {};  ///< epoch's IV
     uint64_t epoch = 0;
     uint64_t seq = 0;                ///< records within the epoch
     uint64_t bytes_in_epoch = 0;     ///< plaintext bytes within the epoch
     uint64_t total_records = 0;
   };
 
-  /// Derives both direction keys for epoch 0 from the handshake PRK.
+  /// Derives both direction keys and IVs for epoch 0 from the handshake
+  /// PRK.
   static Result<std::unique_ptr<SecureChannel>> Create(
       bool is_client, Bytes prk, const SecureChannelOptions& options);
 
   SecureChannel() = default;
 
   /// Counts one record of `plaintext_bytes` against `dir`'s budgets and
-  /// rekeys (epoch bump + re-derivation) when a budget is exhausted.
+  /// rekeys (epoch bump + key and IV re-derivation) when a budget is
+  /// exhausted.
   Status Advance(Direction* dir, size_t plaintext_bytes);
 
   Bytes prk_;  ///< handshake master secret; wiped on destruction

@@ -117,7 +117,10 @@ Result<Bytes> EncodeFrame(uint32_t request_id, const Bytes& payload) {
                 (request_id != 0 ? kFrameIdFlag : 0),
             frame.data());
   if (request_id != 0) StoreLE32(request_id, frame.data() + 4);
-  std::memcpy(frame.data() + header_len, payload.data(), payload.size());
+  // An empty payload's data() may be null, which memcpy must not see.
+  if (!payload.empty()) {
+    std::memcpy(frame.data() + header_len, payload.data(), payload.size());
+  }
   return frame;
 }
 

@@ -14,6 +14,7 @@
 #include "crypto/aes.h"
 #include "crypto/cipher.h"
 #include "crypto/cpu_features.h"
+#include "crypto/gcm.h"
 #include "crypto/hmac.h"
 #include "crypto/kernels.h"
 #include "crypto/secure_random.h"
@@ -630,6 +631,184 @@ TEST(AeadTest, RejectsBadMasterKeySizes) {
   EXPECT_TRUE(AeadCipher::Create(Bytes(24, 0)).ok());
 }
 
+// ------------------------------------------------------------- AES-GCM
+//
+// McGrew & Viega, "The Galois/Counter Mode of Operation (GCM)", test
+// cases 13-16 (AES-256), typed in as constants.
+
+struct GcmVector {
+  const char* name;
+  const char* key;
+  const char* nonce;
+  const char* plaintext;
+  const char* ad;
+  const char* ciphertext;
+  const char* tag;
+};
+
+constexpr char kMvKey[] =
+    "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308";
+constexpr char kMvNonce[] = "cafebabefacedbaddecaf888";
+
+const GcmVector kGcmVectors[] = {
+    {"TC13", "0000000000000000000000000000000000000000000000000000000000000000",
+     "000000000000000000000000", "", "", "",
+     "530f8afbc74536b9a963b4f1c4cb738b"},
+    {"TC14", "0000000000000000000000000000000000000000000000000000000000000000",
+     "000000000000000000000000", "00000000000000000000000000000000", "",
+     "cea7403d4d606b6e074ec5d3baf39d18", "d0d1c8a799996bf0265b98b5d48ab919"},
+    {"TC15", kMvKey, kMvNonce,
+     "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+     "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255",
+     "",
+     "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+     "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad",
+     "b094dac5d93471bdec1a502270e3cc6c"},
+    {"TC16", kMvKey, kMvNonce,
+     "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+     "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39",
+     "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+     "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+     "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662",
+     "76fc6ece0f4e1768cddf8853bb2d551b"},
+};
+
+TEST(GcmTest, McGrewViegaAes256VectorsOnBothBackends) {
+  for (const GcmVector& v : kGcmVectors) {
+    SCOPED_TRACE(v.name);
+    const Bytes key = Hex(v.key);
+    const Bytes nonce = Hex(v.nonce);
+    const Bytes plaintext = Hex(v.plaintext);
+    const Bytes ad = Hex(v.ad);
+    const Bytes ciphertext = Hex(v.ciphertext);
+    const Bytes tag = Hex(v.tag);
+    const size_t len = plaintext.size();
+
+    // The dispatched path, both directions.
+    auto gcm = AesGcm::Create(key);
+    ASSERT_TRUE(gcm.ok());
+    Bytes out(len);
+    uint8_t out_tag[16];
+    ASSERT_TRUE(gcm->SealInto(nonce.data(), ad.data(), ad.size(),
+                              plaintext.data(), len, out.data(), out_tag)
+                    .ok());
+    EXPECT_EQ(out, ciphertext);
+    EXPECT_EQ(Bytes(out_tag, out_tag + 16), tag);
+    Bytes opened(len);
+    ASSERT_TRUE(gcm->OpenInto(nonce.data(), ad.data(), ad.size(),
+                              ciphertext.data(), len, tag.data(),
+                              opened.data())
+                    .ok());
+    EXPECT_EQ(opened, plaintext);
+
+    // The scalar reference, whatever the dispatch picked.
+    auto aes = Aes::Create(key);
+    ASSERT_TRUE(aes.ok());
+    uint8_t h[16] = {};
+    const uint8_t zero[16] = {};
+    aes->EncryptBlock(zero, h);
+    Bytes scalar_out(len);
+    uint8_t scalar_tag[16];
+    ScalarGcmSeal(*aes, h, nonce.data(), ad.data(), ad.size(),
+                  plaintext.data(), scalar_out.data(), len, scalar_tag);
+    EXPECT_EQ(scalar_out, ciphertext);
+    EXPECT_EQ(Bytes(scalar_tag, scalar_tag + 16), tag);
+    Bytes scalar_opened(len);
+    EXPECT_TRUE(ScalarGcmOpen(*aes, h, nonce.data(), ad.data(), ad.size(),
+                              ciphertext.data(), len, tag.data(),
+                              scalar_opened.data()));
+    EXPECT_EQ(scalar_opened, plaintext);
+
+    // The AES-NI + PCLMULQDQ kernel, whenever the silicon has it.
+    if (AesNiKernelAvailable() && PclmulKernelAvailable()) {
+      alignas(16) uint8_t h_table[128];
+      AesNiGcmInit(h, h_table);
+      Bytes hw_out(len);
+      uint8_t hw_tag[16];
+      AesNiGcmSeal(aes->round_key_bytes(), aes->rounds(), h_table,
+                   nonce.data(), ad.data(), ad.size(), plaintext.data(),
+                   hw_out.data(), len, hw_tag);
+      EXPECT_EQ(hw_out, ciphertext);
+      EXPECT_EQ(Bytes(hw_tag, hw_tag + 16), tag);
+      Bytes hw_opened(len);
+      EXPECT_TRUE(AesNiGcmOpen(aes->round_key_bytes(), aes->rounds(),
+                               h_table, nonce.data(), ad.data(), ad.size(),
+                               ciphertext.data(), len, tag.data(),
+                               hw_opened.data()));
+      EXPECT_EQ(hw_opened, plaintext);
+    }
+  }
+}
+
+TEST(GcmTest, OpenWritesNothingOnForgery) {
+  // A flipped bit in the ciphertext, the tag or the AD must be refused
+  // before a byte reaches `out` — out of place and in place alike.
+  Rng rng(0x6C3F);
+  auto gcm = AesGcm::Create(Bytes(32, 0x42));
+  ASSERT_TRUE(gcm.ok());
+  const Bytes nonce(12, 0x17);
+  Bytes ad(22, 0x0A);
+  for (size_t len : {size_t{0}, size_t{1}, size_t{100}, size_t{1000}}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    Bytes plaintext(len);
+    for (auto& b : plaintext) b = static_cast<uint8_t>(rng.NextU64());
+    Bytes ciphertext(len);
+    uint8_t tag[16];
+    ASSERT_TRUE(gcm->SealInto(nonce.data(), ad.data(), ad.size(),
+                              plaintext.data(), len, ciphertext.data(), tag)
+                    .ok());
+    auto expect_refused = [&](const Bytes& ct, const uint8_t* t,
+                              const Bytes& a) {
+      Bytes out(len, 0xEE);
+      Status status = gcm->OpenInto(nonce.data(), a.data(), a.size(),
+                                    ct.data(), len, t, out.data());
+      EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+      EXPECT_EQ(out, Bytes(len, 0xEE));
+      Bytes in_place = ct;
+      EXPECT_FALSE(gcm->OpenInto(nonce.data(), a.data(), a.size(),
+                                 in_place.data(), len, t, in_place.data())
+                       .ok());
+      EXPECT_EQ(in_place, ct);
+    };
+    if (len > 0) {
+      Bytes flipped = ciphertext;
+      flipped[len / 2] ^= 0x01;
+      expect_refused(flipped, tag, ad);
+    }
+    for (int bit : {0, 63, 127}) {
+      uint8_t bad_tag[16];
+      std::copy(tag, tag + 16, bad_tag);
+      bad_tag[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      expect_refused(ciphertext, bad_tag, ad);
+    }
+    Bytes bad_ad = ad;
+    bad_ad[21] ^= 0x80;
+    expect_refused(ciphertext, tag, bad_ad);
+    Bytes good(len);
+    EXPECT_TRUE(gcm->OpenInto(nonce.data(), ad.data(), ad.size(),
+                              ciphertext.data(), len, tag, good.data())
+                    .ok());
+    EXPECT_EQ(good, plaintext);
+  }
+}
+
+TEST(GcmTest, RejectsOverlongPlaintextAndBadKeys) {
+  auto gcm = AesGcm::Create(Bytes(32, 0x01));
+  ASSERT_TRUE(gcm.ok());
+  const uint8_t nonce[12] = {};
+  uint8_t tag[16] = {};
+  // The length is judged before either buffer is touched.
+  EXPECT_EQ(gcm->SealInto(nonce, nullptr, 0, nullptr,
+                          AesGcm::kMaxPlaintextBytes + 1, nullptr, tag)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(gcm->OpenInto(nonce, nullptr, 0, nullptr,
+                             AesGcm::kMaxPlaintextBytes + 1, tag, nullptr)
+                   .ok());
+  EXPECT_FALSE(AesGcm::Create(Bytes(15, 0)).ok());
+  EXPECT_TRUE(AesGcm::Create(Bytes(16, 0)).ok());
+}
+
 // ------------------------------------------- hardware kernel cross-checks
 //
 // The AES-NI / SHA-NI kernels must be bit-identical to the vector-tested
@@ -786,6 +965,85 @@ TEST(KernelTest, AesNiCbcMatchesScalarOnRandomInputs) {
   }
 }
 
+TEST(KernelTest, AesNiGcmMatchesScalarOnRandomInputs) {
+  if (!AesNiKernelAvailable() || !PclmulKernelAvailable()) {
+    GTEST_SKIP() << "AES-NI + PCLMULQDQ not available on this CPU";
+  }
+  Rng rng(0x6C11);
+  auto aes = Aes::Create(RandomBytes(rng, 32));
+  ASSERT_TRUE(aes.ok());
+  uint8_t h[16] = {};
+  const uint8_t zero[16] = {};
+  aes->EncryptBlock(zero, h);
+  alignas(16) uint8_t h_table[128];
+  AesNiGcmInit(h, h_table);
+
+  auto check = [&](size_t len, size_t ad_len) {
+    const Bytes nonce = RandomBytes(rng, 12);
+    const Bytes ad = RandomBytes(rng, ad_len);
+    const Bytes plaintext = RandomBytes(rng, len);
+    Bytes scalar_ct(len), hw_ct(len);
+    uint8_t scalar_tag[16], hw_tag[16];
+    ScalarGcmSeal(*aes, h, nonce.data(), ad.data(), ad_len,
+                  plaintext.data(), scalar_ct.data(), len, scalar_tag);
+    AesNiGcmSeal(aes->round_key_bytes(), aes->rounds(), h_table,
+                 nonce.data(), ad.data(), ad_len, plaintext.data(),
+                 hw_ct.data(), len, hw_tag);
+    ASSERT_EQ(scalar_ct, hw_ct);
+    ASSERT_EQ(Bytes(scalar_tag, scalar_tag + 16), Bytes(hw_tag, hw_tag + 16));
+
+    // In place: seal over the plaintext, open back over the ciphertext.
+    Bytes buffer = plaintext;
+    uint8_t in_place_tag[16];
+    AesNiGcmSeal(aes->round_key_bytes(), aes->rounds(), h_table,
+                 nonce.data(), ad.data(), ad_len, buffer.data(),
+                 buffer.data(), len, in_place_tag);
+    ASSERT_EQ(buffer, scalar_ct);
+    ASSERT_EQ(Bytes(in_place_tag, in_place_tag + 16),
+              Bytes(hw_tag, hw_tag + 16));
+    ASSERT_TRUE(AesNiGcmOpen(aes->round_key_bytes(), aes->rounds(), h_table,
+                             nonce.data(), ad.data(), ad_len, buffer.data(),
+                             len, hw_tag, buffer.data()));
+    ASSERT_EQ(buffer, plaintext);
+    buffer = scalar_ct;
+    ASSERT_TRUE(ScalarGcmOpen(*aes, h, nonce.data(), ad.data(), ad_len,
+                              buffer.data(), len, scalar_tag,
+                              buffer.data()));
+    ASSERT_EQ(buffer, plaintext);
+
+    // Out of place, each kernel opening the other's output.
+    Bytes opened(len);
+    ASSERT_TRUE(AesNiGcmOpen(aes->round_key_bytes(), aes->rounds(), h_table,
+                             nonce.data(), ad.data(), ad_len,
+                             scalar_ct.data(), len, scalar_tag,
+                             opened.data()));
+    ASSERT_EQ(opened, plaintext);
+    ASSERT_TRUE(ScalarGcmOpen(*aes, h, nonce.data(), ad.data(), ad_len,
+                              hw_ct.data(), len, hw_tag, opened.data()));
+    ASSERT_EQ(opened, plaintext);
+  };
+  // Every length through two 8-block batches plus tails, against every
+  // AD length up to 40 (partial AD blocks, one and two full ones).
+  for (size_t len = 0; len <= 300; ++len) {
+    for (size_t ad_len = 0; ad_len <= 40; ++ad_len) {
+      SCOPED_TRACE("len=" + std::to_string(len) +
+                   " ad_len=" + std::to_string(ad_len));
+      check(len, ad_len);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // A full secure-channel record, with and without a tail, and an AD
+  // long enough for the aggregated AD loop.
+  for (size_t len : {size_t{65536}, size_t{65536 + 37}}) {
+    for (size_t ad_len : {size_t{22}, size_t{300}}) {
+      SCOPED_TRACE("len=" + std::to_string(len) +
+                   " ad_len=" + std::to_string(ad_len));
+      check(len, ad_len);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
 TEST(KernelTest, ShaNiMatchesScalarOnRandomInputs) {
   if (!ShaNiKernelAvailable()) {
     GTEST_SKIP() << "SHA-NI not available on this CPU";
@@ -811,9 +1069,12 @@ TEST(CpuFeaturesTest, DispatchIsConsistentWithRawCapability) {
   // Dispatch can only enable what the silicon supports.
   EXPECT_LE(features.aes_ni, features.raw_aes_ni);
   EXPECT_LE(features.sha_ni, features.raw_sha_ni);
+  EXPECT_LE(features.pclmul, features.raw_pclmul);
+  EXPECT_EQ(GcmAccelerated(), features.aes_ni && features.pclmul);
   if (features.forced_scalar) {
     EXPECT_FALSE(features.aes_ni);
     EXPECT_FALSE(features.sha_ni);
+    EXPECT_FALSE(features.pclmul);
   }
   EXPECT_FALSE(CryptoBackendSummary().empty());
 }

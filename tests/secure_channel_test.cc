@@ -1,7 +1,7 @@
 // Secure-channel subsystem tests: HKDF vectors, the PSK mutual
-// handshake (wrong keys, tampered tags, replayed transcripts), the AEAD
-// record layer (tamper/replay/reorder/truncation, deterministic
-// rekeying, 64 KiB record streams), live TCP deployments in secure mode,
+// handshake (wrong keys, tampered tags, replayed transcripts, version-1
+// peers), the AES-GCM record layer (tamper/replay/reorder/truncation,
+// deterministic rekeying, 64 KiB record streams), live TCP deployments in secure mode,
 // downgrade attacks in both directions, and a sniffing relay that
 // asserts NO protocol plaintext ever crosses the wire in secure mode
 // (and that plaintext mode is still byte-transparent).
@@ -279,6 +279,43 @@ TEST(SecureHandshakeTest, SessionsDeriveDistinctKeys) {
           .ok());
 }
 
+TEST(SecureHandshakeTest, VersionOneClientHelloIsRefused) {
+  // A version-1 peer seals AES-CTR + HMAC records with an explicit IV;
+  // a version-2 server must refuse it at the hello, before any record.
+  auto client = ClientHandshake::Start(TestOptions());
+  ASSERT_TRUE(client.ok());
+  Bytes hello = client->hello();
+  ASSERT_EQ(hello[4], kSecureChannelVersion);
+  hello[4] = 1;
+  ServerHandshake server(TestOptions());
+  Bytes server_hello;
+  auto consumed = server.Consume(hello.data(), hello.size(), &server_hello);
+  ASSERT_FALSE(consumed.ok());
+  EXPECT_EQ(consumed.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(consumed.status().message(), "unsupported secure-channel version");
+  EXPECT_TRUE(server_hello.empty());
+  EXPECT_FALSE(server.done());
+}
+
+TEST(SecureHandshakeTest, VersionOneServerHelloIsRefused) {
+  auto client = ClientHandshake::Start(TestOptions());
+  ASSERT_TRUE(client.ok());
+  ServerHandshake server(TestOptions());
+  Bytes server_hello;
+  ASSERT_TRUE(server
+                  .Consume(client->hello().data(), client->hello().size(),
+                           &server_hello)
+                  .ok());
+  ASSERT_EQ(server_hello[4], kSecureChannelVersion);
+  server_hello[4] = 1;
+  std::unique_ptr<SecureChannel> channel;
+  auto finish = client->Finish(server_hello, &channel);
+  ASSERT_FALSE(finish.ok());
+  EXPECT_EQ(finish.status().code(), StatusCode::kPermissionDenied);
+  EXPECT_EQ(finish.status().message(), "unsupported secure-channel version");
+  EXPECT_EQ(channel, nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // Record layer.
 // ---------------------------------------------------------------------------
@@ -324,6 +361,46 @@ TEST_F(SecureRecordTest, StreamOfRecordsRoundTripsAcrossPartialReads) {
   EXPECT_TRUE(buffer.empty());
   EXPECT_EQ(plain, expected);
   EXPECT_EQ(server_->records_opened(), 20u);
+}
+
+TEST_F(SecureRecordTest, RecordIsLengthCiphertextAndTag) {
+  // u32 len | ciphertext | tag: the nonce is implicit, so a record is
+  // exactly its plaintext plus kSealOverhead (20 bytes), and the same
+  // plaintext seals to different bytes under successive sequence numbers.
+  static_assert(SecureChannel::kSealOverhead == 20);
+  const Bytes frame(100, 0x5A);
+  auto first = client_->Seal(frame);
+  auto second = client_->Seal(frame);
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_EQ(first->size(), frame.size() + SecureChannel::kSealOverhead);
+  uint32_t sealed_len = 0;
+  for (int i = 0; i < 4; ++i) {
+    sealed_len |= static_cast<uint32_t>((*first)[i]) << (8 * i);
+  }
+  EXPECT_EQ(sealed_len, frame.size() + SecureChannel::kTagSize);
+  EXPECT_NE(*first, *second);
+  Bytes plain;
+  size_t consumed = 0;
+  Bytes wire = *first;
+  wire.insert(wire.end(), second->begin(), second->end());
+  ASSERT_TRUE(server_->Ingest(wire.data(), wire.size(), &consumed, &plain)
+                  .ok());
+  EXPECT_EQ(consumed, wire.size());
+  Bytes expected = frame;
+  expected.insert(expected.end(), frame.begin(), frame.end());
+  EXPECT_EQ(plain, expected);
+}
+
+TEST_F(SecureRecordTest, ShorterThanATagIsRejected) {
+  // A sealed length below the 16-byte tag cannot be a record.
+  Bytes bogus = {15, 0, 0, 0};
+  bogus.resize(4 + 15, 0);
+  Bytes plain;
+  size_t consumed = 0;
+  EXPECT_EQ(server_->Ingest(bogus.data(), bogus.size(), &consumed, &plain)
+                .code(),
+            StatusCode::kNetworkError);
+  EXPECT_TRUE(plain.empty());
 }
 
 TEST_F(SecureRecordTest, TamperedRecordKillsTheChannel) {
@@ -539,8 +616,7 @@ TEST(SecureRecordStreamTest, TamperedRecordStopsTheStreamThere) {
     ASSERT_TRUE(wire.ok());
     ASSERT_EQ(pair->client->records_sealed(), 9u);
     Bytes tampered = *wire;
-    tampered[k * record_wire + SecureChannel::kRecordHeaderSize +
-             crypto::AeadCipher::kIvSize + 7] ^= 0x04;
+    tampered[k * record_wire + SecureChannel::kRecordHeaderSize + 7] ^= 0x04;
 
     Bytes plain;
     size_t consumed = 0;
@@ -683,6 +759,42 @@ TEST(SecureTcpTest, LargeMessagesCrossRekeyBoundaries) {
     ASSERT_TRUE(response.ok()) << "call " << i << ": "
                                << response.status().ToString();
     EXPECT_EQ(*response, request);
+  }
+  server.Stop();
+}
+
+TEST(SecureTcpTest, ZeroToThreeMebibytesPipelinedAcrossRekeys) {
+  // Every message size from empty to 3 MiB, submitted back to back and
+  // collected after, with a record budget small enough that both
+  // directions rekey many times mid-burst.
+  EchoHandler handler;
+  TcpServerOptions server_options = SecureServerOptions();
+  server_options.secure_channel.rekey_after_records = 5;
+  TcpServer server(&handler, server_options);
+  ASSERT_TRUE(server.Start(0).ok());
+  SecureChannelOptions client_options = TestOptions();
+  client_options.rekey_after_records = 5;
+  auto transport = TcpTransport::Connect(
+      "127.0.0.1", server.port(), ChannelPolicy::kSecure, client_options);
+  ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+
+  const std::vector<size_t> sizes = {
+      0,     1,     15,         16,          17,     kRecordSlice - 9,
+      kRecordSlice - 8, kRecordSlice, kRecordSlice + 1, 582000,
+      3u << 20};
+  std::vector<Bytes> requests;
+  std::vector<uint64_t> tickets;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    requests.push_back(PatternBytes(sizes[i], static_cast<uint32_t>(i)));
+    auto ticket = (*transport)->Submit(requests.back());
+    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
+    tickets.push_back(*ticket);
+  }
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    auto response = (*transport)->Collect(tickets[i]);
+    ASSERT_TRUE(response.ok()) << "size " << sizes[i] << ": "
+                               << response.status().ToString();
+    EXPECT_EQ(*response, requests[i]) << "size " << sizes[i];
   }
   server.Stop();
 }
@@ -861,7 +973,8 @@ bool IsPureRecordStream(const Bytes& capture, size_t offset) {
     for (int i = 0; i < 4; ++i) {
       len |= static_cast<uint32_t>(capture[offset + i]) << (8 * i);
     }
-    if (len < crypto::AeadCipher::kIvSize + crypto::AeadCipher::kTagSize) {
+    if (SecureChannel::kRecordHeaderSize + len <
+        SecureChannel::kSealOverhead) {
       return false;
     }
     if (capture.size() - offset - 4 < len) return false;
@@ -926,8 +1039,8 @@ std::vector<size_t> RecordPlaintextSizes(const Bytes& capture,
     for (int i = 0; i < 4; ++i) {
       len |= static_cast<uint32_t>(capture[offset + i]) << (8 * i);
     }
-    sizes.push_back(len - crypto::AeadCipher::kIvSize -
-                    crypto::AeadCipher::kTagSize);
+    sizes.push_back(SecureChannel::kRecordHeaderSize + len -
+                    SecureChannel::kSealOverhead);
     offset += 4 + len;
   }
   EXPECT_EQ(offset, capture.size());
@@ -960,8 +1073,9 @@ TEST(SniffTest, MebibyteRequestAndResponseFlowAs64KiBRecords) {
   auto ceil_records = [](size_t bytes) {
     return (bytes + kRecordSlice - 1) / kRecordSlice;
   };
-  // Request frame: 8-byte pipelined header + payload. Response frame:
-  // header + u64 server time + ok flag + payload.
+  // Call sends a legacy frame: u32 header + payload. Response frame:
+  // header + u64 server time + ok flag + payload. (The record counts
+  // below allow for the 8-byte pipelined header too.)
   const std::vector<size_t> up =
       RecordPlaintextSizes(c2s, kClientHelloSize + kClientFinishSize);
   const std::vector<size_t> down = RecordPlaintextSizes(s2c, kServerHelloSize);
@@ -969,6 +1083,15 @@ TEST(SniffTest, MebibyteRequestAndResponseFlowAs64KiBRecords) {
   EXPECT_EQ(down.size(), ceil_records(8 + 8 + 1 + request.size()));
   for (size_t size : up) EXPECT_LE(size, kRecordSlice);
   for (size_t size : down) EXPECT_LE(size, kRecordSlice);
+  // Each record's plaintext is its wire size less kSealOverhead, so the
+  // records add up to exactly the frames they carry.
+  auto sum = [](const std::vector<size_t>& sizes) {
+    size_t total = 0;
+    for (size_t size : sizes) total += size;
+    return total;
+  };
+  EXPECT_EQ(sum(up), 4 + request.size());
+  EXPECT_EQ(sum(down), 4 + 8 + 1 + request.size());
   server.Stop();
 }
 
