@@ -115,6 +115,14 @@ if grep -nE 'TempDir\(\)|"/tmp/' tests/* bench/* examples/*; then
   exit 1
 fi
 
+echo "=== lint: the index core does not include io_uring ==="
+# DiskStorage reads with preadv only; io_uring belongs to the server's
+# event engine (src/net/). A second storage executor would be a fork.
+if grep -rn 'include "common/io_ring.h"' src/mindex/; then
+  echo "FAIL: src/mindex/ includes common/io_ring.h; use preadv" >&2
+  exit 1
+fi
+
 echo "=== configure + build ==="
 cmake -B build -S .
 cmake --build build -j "$(nproc)"

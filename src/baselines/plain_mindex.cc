@@ -124,18 +124,21 @@ Result<Bytes> PlainMIndexServer::Handle(const Bytes& request_bytes) {
 }
 
 Result<Bytes> PlainMIndexServer::HandleInsert(PlainRequest& request) {
-  for (const VectorObject& object : request.objects) {
+  std::vector<mindex::Insertion> items(request.objects.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    const VectorObject& object = request.objects[i];
     // The trusted server computes the object-pivot distances itself.
     Stopwatch watch;
-    std::vector<float> distances = pivots_.ComputeDistances(object, *metric_);
+    items[i].pivot_distances = pivots_.ComputeDistances(object, *metric_);
     costs_.distance_nanos += watch.ElapsedNanos();
     costs_.distance_computations += pivots_.size();
 
     BinaryWriter payload_writer;
     object.Serialize(&payload_writer);
-    SIMCLOUD_RETURN_NOT_OK(index_->Insert(object.id(), std::move(distances),
-                                          {}, payload_writer.buffer()));
+    items[i].id = object.id();
+    items[i].payload = payload_writer.TakeBuffer();
   }
+  SIMCLOUD_RETURN_NOT_OK(index_->InsertBatch(std::move(items)));
   BinaryWriter writer;
   writer.WriteVarint(request.objects.size());
   return writer.TakeBuffer();

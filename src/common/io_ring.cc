@@ -147,19 +147,6 @@ bool IoRing::PrepPollRemove(uint64_t target_user_data, uint64_t user_data) {
   return true;
 }
 
-bool IoRing::PrepRead(int fd, void* buf, uint32_t len, uint64_t file_offset,
-                      uint64_t user_data) {
-  io_uring_sqe* sqe = NextSqe();
-  if (sqe == nullptr) return false;
-  sqe->opcode = IORING_OP_READ;
-  sqe->fd = fd;
-  sqe->addr = reinterpret_cast<uint64_t>(buf);
-  sqe->len = len;
-  sqe->off = file_offset;
-  sqe->user_data = user_data;
-  return true;
-}
-
 Status IoRing::Submit() { return SubmitAndWait(0); }
 
 Status IoRing::SubmitAndWait(unsigned min_complete) {

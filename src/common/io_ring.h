@@ -1,16 +1,14 @@
 // Minimal io_uring wrapper over the raw syscalls (the toolchain image
-// ships no liburing). Two consumers:
-//   - net/event_engine.cc runs the server's readiness loop on poll SQEs,
-//   - mindex/storage.cc batches segment reads in DiskStorage::FetchMany.
-// Both only need a small slice of io_uring: batched SQE preparation, one
-// submit-and-wait entry point, and completion reaping — which is exactly
-// what this class exposes. Single-threaded by design: one IoRing belongs
-// to one owner thread (the event loop, or the FetchMany caller under the
-// storage lock); there is no internal locking.
+// ships no liburing). Its one consumer, net/event_engine.cc, runs the
+// server's readiness loop on poll SQEs and needs only a small slice of
+// io_uring: batched SQE preparation, one submit-and-wait entry point, and
+// completion reaping — which is exactly what this class exposes.
+// Single-threaded by design: one IoRing belongs to one owner thread (the
+// event loop); there is no internal locking.
 //
 // Creation probes the kernel: io_uring_setup fails with ENOSYS on old
-// kernels and EPERM in seccomp-restricted containers, and callers are
-// expected to fall back to their portable path (epoll / pread).
+// kernels and EPERM in seccomp-restricted containers, and the caller is
+// expected to fall back to its portable path (epoll).
 
 #ifndef SIMCLOUD_COMMON_IO_RING_H_
 #define SIMCLOUD_COMMON_IO_RING_H_
@@ -50,8 +48,6 @@ class IoRing {
                    bool multishot);
   /// Cancels the pending poll whose user_data is `target_user_data`.
   bool PrepPollRemove(uint64_t target_user_data, uint64_t user_data);
-  bool PrepRead(int fd, void* buf, uint32_t len, uint64_t file_offset,
-                uint64_t user_data);
 
   /// Submits every prepared SQE without waiting.
   Status Submit();

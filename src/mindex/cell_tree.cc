@@ -27,19 +27,26 @@ void CellTree::UpdateDistBounds(Node* node, float dist) {
   }
 }
 
-Status CellTree::Insert(Entry entry) {
-  if (entry.permutation.size() < max_level_) {
+Status CellTree::CheckRouting(
+    const Permutation& permutation,
+    const std::vector<float>& pivot_distances) const {
+  if (permutation.size() < max_level_) {
     return Status::InvalidArgument(
         "entry permutation prefix shorter than tree max level");
   }
-  if (!IsValidPermutation(entry.permutation, num_pivots_)) {
+  if (!IsValidPermutation(permutation, num_pivots_)) {
     return Status::InvalidArgument("entry permutation is not valid");
   }
-  if (!entry.pivot_distances.empty() &&
-      entry.pivot_distances.size() != num_pivots_) {
+  if (!pivot_distances.empty() && pivot_distances.size() != num_pivots_) {
     return Status::InvalidArgument(
         "entry pivot distance vector has wrong length");
   }
+  return Status::OK();
+}
+
+Status CellTree::Insert(Entry entry) {
+  SIMCLOUD_RETURN_NOT_OK(
+      CheckRouting(entry.permutation, entry.pivot_distances));
 
   Node* node = root_.get();
   size_t depth = 0;

@@ -33,9 +33,15 @@ class CellTree {
   /// `max_level` bounds the permutation-prefix depth (>= 1, <= num_pivots).
   CellTree(size_t num_pivots, size_t bucket_capacity, size_t max_level);
 
-  /// Inserts an entry; entry.permutation must have at least max_level
-  /// elements and be a valid partial permutation.
+  /// Inserts an entry; it must pass CheckRouting.
   Status Insert(Entry entry);
+
+  /// The routing checks Insert applies: the permutation has at least
+  /// max_level elements and is a valid partial permutation, and the
+  /// distances are empty or cover every pivot. Lets a batch validate all
+  /// of its items before it mutates anything.
+  Status CheckRouting(const Permutation& permutation,
+                      const std::vector<float>& pivot_distances) const;
 
   /// Removes the entry with the given id, routed by `permutation` (the
   /// same routing information the insert used). Returns the removed entry

@@ -103,6 +103,17 @@ struct BatchCandidates {
   }
 };
 
+/// One insertion of a batched insert: exactly the information of the
+/// paper's encrypted object `e` (Algorithm 1). The routing permutation is
+/// derived server-side from the distances when it is empty; `payload` is
+/// opaque.
+struct Insertion {
+  metric::ObjectId id = 0;
+  std::vector<float> pivot_distances;  ///< precise strategy (may be empty)
+  Permutation permutation;             ///< approx strategy (may be empty)
+  Bytes payload;                       ///< AES ciphertext or plain object
+};
+
 /// One deletion of a batched delete: the same routing information the
 /// insert carried (distances and/or permutation; the permutation is
 /// derived server-side when empty).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -97,45 +98,87 @@ Result<Permutation> MIndex::RoutingPermutation(
 Status MIndex::Insert(metric::ObjectId id,
                       std::vector<float> pivot_distances,
                       Permutation permutation, const Bytes& payload) {
-  SIMCLOUD_ASSIGN_OR_RETURN(
-      permutation,
-      RoutingPermutation(pivot_distances, std::move(permutation)));
+  std::vector<Insertion> batch(1);
+  batch[0] = {id, std::move(pivot_distances), std::move(permutation), payload};
+  return InsertBatch(std::move(batch));
+}
 
-  SIMCLOUD_ASSIGN_OR_RETURN(PayloadHandle handle, storage_->Store(payload));
-  // Mid-pass relocation journal: a background pass must catch this
-  // payload up into the log it is rewriting (we hold the writer lock, as
-  // does anyone arming the bus's journal).
-  bus_.JournalStore(handle);
+Status MIndex::InsertBatch(std::vector<Insertion> items) {
+  // Pass 1: resolve every item's routing and apply the tree's own checks
+  // before anything is stored. The first malformed item ends the batch.
+  Status rejected = Status::OK();
+  size_t accepted = 0;
+  for (; accepted < items.size(); ++accepted) {
+    Insertion& item = items[accepted];
+    Result<Permutation> permutation =
+        RoutingPermutation(item.pivot_distances, std::move(item.permutation));
+    rejected = permutation.ok()
+                   ? tree_.CheckRouting(*permutation, item.pivot_distances)
+                   : permutation.status();
+    if (!rejected.ok()) break;
+    item.permutation = std::move(*permutation);
+  }
 
-  // The event needs the distances after they move into the entry below.
-  std::vector<float> event_distances = pivot_distances;
-
-  Entry entry;
-  entry.id = id;
-  entry.permutation = std::move(permutation);
-  entry.pivot_distances = std::move(pivot_distances);
-  entry.payload_handle = handle;
-  entry.payload_size = static_cast<uint32_t>(payload.size());
-  Status inserted = tree_.Insert(std::move(entry));
-  if (!inserted.ok()) {
-    // The payload was already appended to the log; mark it dead so the
-    // accounting (and the compaction trigger) treats it as garbage
-    // instead of leaking it as permanently live.
-    Status freed = storage_->Free(handle);
-    if (!freed.ok()) {
+  // Pass 2: append the payloads in permutation-prefix order, the order
+  // ForEachEntry visits cells, so this batch's share of each cell is
+  // byte-adjacent in the log. Stable: equal prefixes keep request order.
+  std::vector<size_t> order(accepted);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return items[a].permutation < items[b].permutation;
+  });
+  // A payload whose entry never enters the tree is freed, not leaked as
+  // live.
+  auto free_unindexed = [&](PayloadHandle handle) {
+    const Status freed = storage_->Free(handle);
+    if (freed.ok()) {
+      bus_.JournalFree(handle);
+    } else {
       SIMCLOUD_LOG(kWarn) << "cannot free payload of rejected insert: "
                           << freed.ToString();
-    } else {
-      bus_.JournalFree(handle);
     }
-    return inserted;
+  };
+  constexpr PayloadHandle kUnstored = ~PayloadHandle{0};
+  std::vector<PayloadHandle> handles(accepted, kUnstored);
+  for (size_t i : order) {
+    Result<PayloadHandle> handle = storage_->Store(items[i].payload);
+    if (!handle.ok()) {
+      // Keep the request-order prefix whose payloads all reached the log.
+      rejected = handle.status();
+      accepted = static_cast<size_t>(
+          std::find(handles.begin(), handles.end(), kUnstored) -
+          handles.begin());
+      for (size_t j = accepted; j < handles.size(); ++j) {
+        if (handles[j] != kUnstored) free_unindexed(handles[j]);
+      }
+      break;
+    }
+    handles[i] = *handle;
+    // Mid-pass relocation journal: a background pass must catch this
+    // payload up into the log it is rewriting (we hold the writer lock, as
+    // does anyone arming the bus's journal).
+    bus_.JournalStore(*handle);
   }
-  // Publish only after the tree accepted the entry, still under the
-  // caller's writer lock: the bus sequence therefore matches the order
-  // mutations became visible to queries.
-  bus_.Publish(MutationKind::kInsert, id, std::move(event_distances),
-               payload);
-  return Status::OK();
+
+  // Pass 3: enter the tree in request order, which keeps every leaf's
+  // entry order, and with it every ranking tie, as item-by-item inserts
+  // would leave it.
+  for (size_t i = 0; i < accepted; ++i) {
+    Insertion& item = items[i];
+    Status inserted = tree_.Insert(
+        Entry{item.id, std::move(item.permutation), item.pivot_distances,
+              handles[i], static_cast<uint32_t>(item.payload.size())});
+    if (!inserted.ok()) {  // unreachable: pass 1 applied the same checks
+      for (size_t j = i; j < accepted; ++j) free_unindexed(handles[j]);
+      return inserted;
+    }
+    // Publish only after the tree accepted the entry, still under the
+    // caller's writer lock: the bus sequence therefore matches the order
+    // mutations became visible to queries.
+    bus_.Publish(MutationKind::kInsert, item.id,
+                 std::move(item.pivot_distances), std::move(item.payload));
+  }
+  return rejected;
 }
 
 Status MIndex::Delete(metric::ObjectId id,

@@ -98,12 +98,19 @@ class MIndex {
   /// Validates options and creates an empty index.
   static Result<std::unique_ptr<MIndex>> Create(const MIndexOptions& options);
 
-  /// Inserts one object. Exactly the information of the paper's encrypted
-  /// object `e` is accepted: `pivot_distances` (precise strategy),
-  /// and/or `permutation`; if the permutation is empty it is derived from
-  /// the distances server-side. `payload` is opaque.
+  /// Inserts one object: InsertBatch with a batch of one.
   Status Insert(metric::ObjectId id, std::vector<float> pivot_distances,
                 Permutation permutation, const Bytes& payload);
+
+  /// Inserts a batch of objects (see Insertion). Every item's routing is
+  /// validated first; a malformed item ends the batch with
+  /// InvalidArgument: the items before it are inserted, it and every later
+  /// item are not, and none of their payloads reach the log. Payloads are
+  /// appended in permutation-prefix (cell) order, so one cell's share of
+  /// the batch is one read run; entries enter the tree, and events the
+  /// mutation bus, in request order, so only the payload handles differ
+  /// from inserting the items one by one.
+  Status InsertBatch(std::vector<Insertion> items);
 
   /// Deletes one object, routed by the same information the insert used:
   /// `pivot_distances` and/or `permutation` (derived server-side when the

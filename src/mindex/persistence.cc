@@ -105,16 +105,16 @@ Result<std::unique_ptr<MIndex>> DeserializeIndex(
   SIMCLOUD_ASSIGN_OR_RETURN(std::unique_ptr<MIndex> index,
                             MIndex::Create(options));
   SIMCLOUD_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
+  std::vector<Insertion> items;
   for (uint64_t i = 0; i < count; ++i) {
-    SIMCLOUD_ASSIGN_OR_RETURN(uint64_t id, reader.ReadVarint());
-    SIMCLOUD_ASSIGN_OR_RETURN(Permutation permutation,
-                              reader.ReadU32Vector());
-    SIMCLOUD_ASSIGN_OR_RETURN(std::vector<float> distances,
-                              reader.ReadFloatVector());
-    SIMCLOUD_ASSIGN_OR_RETURN(Bytes payload, reader.ReadBytes());
-    SIMCLOUD_RETURN_NOT_OK(index->Insert(id, std::move(distances),
-                                         std::move(permutation), payload));
+    Insertion item;
+    SIMCLOUD_ASSIGN_OR_RETURN(item.id, reader.ReadVarint());
+    SIMCLOUD_ASSIGN_OR_RETURN(item.permutation, reader.ReadU32Vector());
+    SIMCLOUD_ASSIGN_OR_RETURN(item.pivot_distances, reader.ReadFloatVector());
+    SIMCLOUD_ASSIGN_OR_RETURN(item.payload, reader.ReadBytes());
+    items.push_back(std::move(item));
   }
+  SIMCLOUD_RETURN_NOT_OK(index->InsertBatch(std::move(items)));
   return index;
 }
 

@@ -1,6 +1,8 @@
 #include "mindex/storage.h"
 
 #include <fcntl.h>
+#include <limits.h>  // IOV_MAX
+#include <sys/uio.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <linux/falloc.h>  // FALLOC_FL_PUNCH_HOLE for segment release
@@ -9,33 +11,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 
-#include "common/io_ring.h"
-#include "common/log.h"
+#include "obs/metrics.h"
 
 namespace simcloud {
 namespace mindex {
-
-namespace {
-
-// SIMCLOUD_IO_ENGINE=uring opts storage reads into io_uring batching,
-// the same switch that selects the server's readiness engine.
-bool UringFetchEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("SIMCLOUD_IO_ENGINE");
-    return env != nullptr && std::strcmp(env, "uring") == 0;
-  }();
-  return enabled;
-}
-
-// SQ depth of the per-storage read ring; batches larger than this
-// pipeline through repeated submit/reap rounds.
-constexpr unsigned kFetchRingEntries = 64;
-
-}  // namespace
 
 DiskReadPlan BuildDiskReadPlan(std::span<const PayloadHandle> handles,
                                std::span<const uint64_t> offsets,
@@ -392,24 +374,6 @@ Result<Bytes> DiskStorage::Fetch(PayloadHandle handle) const {
   return out;
 }
 
-namespace {
-
-// Distributes one run's bytes into the per-handle output slots.
-void ScatterRun(const DiskReadPlan& plan, const DiskReadRun& run,
-                std::span<const PayloadHandle> handles,
-                const std::vector<uint32_t>& lengths, const Bytes& buffer,
-                std::vector<Bytes>* out) {
-  uint64_t cursor = 0;
-  for (size_t k = run.first; k < run.first + run.count; ++k) {
-    const uint32_t length = lengths[handles[plan.order[k]]];
-    (*out)[plan.order[k]].assign(buffer.begin() + cursor,
-                                 buffer.begin() + cursor + length);
-    cursor += length;
-  }
-}
-
-}  // namespace
-
 Status DiskStorage::FetchMany(std::span<const PayloadHandle> handles,
                               std::vector<Bytes>* out) const {
   SIMCLOUD_RETURN_NOT_OK(CheckOpen());
@@ -417,83 +381,49 @@ Status DiskStorage::FetchMany(std::span<const PayloadHandle> handles,
     SIMCLOUD_RETURN_NOT_OK(CheckLive(handle));
   }
   out->assign(handles.size(), Bytes());
+  for (size_t i = 0; i < handles.size(); ++i) {
+    (*out)[i].resize(lengths_[handles[i]]);
+  }
 
-  // Read in offset order: adjacent payloads (the common case — candidates
-  // of one bucket were appended together) collapse into one read. The
-  // plan is identical for both executors.
+  // Read in offset order: a run of byte-adjacent payloads (one cell's
+  // entries from one insert batch, see MIndex::InsertBatch) is one preadv
+  // whose iovecs are the payloads' own buffers — no staging copy.
   const DiskReadPlan plan = BuildDiskReadPlan(handles, offsets_, lengths_);
+  static obs::Histogram* const runs_histogram =
+      obs::Registry::Default().GetHistogram("simcloud_payload_fetch_runs");
+  runs_histogram->Record(plan.runs.size());
 
-  if (UringFetchEnabled() && !ring_failed_) {
-    const Status status = FetchManyUring(plan, handles, out);
-    if (status.code() != StatusCode::kNotSupported) return status;
-    // NotSupported: ring unavailable or busy — take the pread path.
-  }
-
-  Bytes buffer;
+  std::vector<iovec> iov;
   for (const DiskReadRun& run : plan.runs) {
-    buffer.resize(run.length);
-    SIMCLOUD_RETURN_NOT_OK(ReadExactly(buffer.data(), run.length, run.offset));
-    ScatterRun(plan, run, handles, lengths_, buffer, out);
-  }
-  return Status::OK();
-}
-
-Status DiskStorage::FetchManyUring(const DiskReadPlan& plan,
-                                   std::span<const PayloadHandle> handles,
-                                   std::vector<Bytes>* out) const {
-  // FetchMany must stay concurrency-safe but the ring is single-owner:
-  // a caller that misses the lock reads via pread instead of queueing.
-  std::unique_lock<std::mutex> lock(ring_mutex_, std::try_to_lock);
-  if (!lock.owns_lock()) return Status::NotSupported("ring busy");
-  if (ring_ == nullptr) {
-    Result<std::unique_ptr<IoRing>> ring = IoRing::Create(kFetchRingEntries);
-    if (!ring.ok()) {
-      ring_failed_ = true;
-      SIMCLOUD_LOG(kWarn) << "io_uring unavailable ("
-                          << ring.status().message()
-                          << "); disk reads fall back to pread";
-      return Status::NotSupported(ring.status().message());
-    }
-    ring_ = std::move(*ring);
-  }
-
-  std::vector<Bytes> buffers(plan.runs.size());
-  std::vector<IoRing::Cqe> cqes;
-  size_t next = 0;  // first run not yet submitted
-  size_t done = 0;
-  while (done < plan.runs.size()) {
-    while (next < plan.runs.size()) {
-      const DiskReadRun& run = plan.runs[next];
-      if (run.length > UINT32_MAX) {
-        // PrepRead carries a 32-bit length; a >4GiB coalesced run is
-        // beyond any real batch, but stay correct and use pread.
-        return Status::NotSupported("read run exceeds io_uring length");
+    uint64_t offset = run.offset;
+    for (size_t first = run.first; first < run.first + run.count;) {
+      const size_t last =
+          std::min(run.first + run.count, first + static_cast<size_t>(IOV_MAX));
+      iov.clear();
+      uint64_t length = 0;
+      for (size_t k = first; k < last; ++k) {
+        Bytes& payload = (*out)[plan.order[k]];
+        iov.push_back({payload.data(), payload.size()});
+        length += payload.size();
       }
-      buffers[next].resize(run.length);
-      if (!ring_->PrepRead(fd_, buffers[next].data(),
-                           static_cast<uint32_t>(run.length), run.offset,
-                           next)) {
-        break;  // SQ full: reap some completions first
+      const ssize_t n = ::preadv(fd_, iov.data(), static_cast<int>(iov.size()),
+                                 static_cast<off_t>(offset));
+      if (n < 0 || static_cast<uint64_t>(n) < length) {
+        // Short read, EINTR or a real error: finish payload by payload so
+        // truncation (Corruption) and I/O failures keep their diagnostics.
+        uint64_t got = n < 0 ? 0 : static_cast<uint64_t>(n);
+        uint64_t at = offset;
+        for (const iovec& slot : iov) {
+          const uint64_t have = std::min<uint64_t>(got, slot.iov_len);
+          got -= have;
+          SIMCLOUD_RETURN_NOT_OK(
+              ReadExactly(static_cast<uint8_t*>(slot.iov_base) + have,
+                          slot.iov_len - have, at + have));
+          at += slot.iov_len;
+        }
       }
-      ++next;
-    }
-    SIMCLOUD_RETURN_NOT_OK(ring_->SubmitAndWait(1));
-    cqes.clear();
-    ring_->DrainCompletions(&cqes);
-    for (const IoRing::Cqe& cqe : cqes) {
-      const DiskReadRun& run = plan.runs[cqe.user_data];
-      Bytes& buffer = buffers[cqe.user_data];
-      // Short reads (res < length) and per-SQE errors both finish via
-      // ReadExactly, which re-reports a genuine I/O failure or EOF
-      // truncation (Corruption) with the usual diagnostics.
-      const uint64_t got = cqe.res < 0 ? 0 : static_cast<uint64_t>(cqe.res);
-      if (got < run.length) {
-        SIMCLOUD_RETURN_NOT_OK(ReadExactly(buffer.data() + got,
-                                           run.length - got,
-                                           run.offset + got));
-      }
-      ScatterRun(plan, run, handles, lengths_, buffer, out);
-      ++done;
+      offset += length;
+      first = last;
     }
   }
   return Status::OK();

@@ -8,11 +8,13 @@
 // M-Index, AES ciphertexts for the Encrypted M-Index — in a BucketStorage.
 //
 // Batched reads: FetchMany retrieves a whole candidate set in one call.
-// DiskStorage sorts the handles by file offset and coalesces adjacent
-// payloads into single pread(2) calls, which is what makes batched queries
-// disk-efficient; MemoryStorage copies everything in one pass. A sharded
-// LRU decorator (payload_cache.h) adds an in-memory hot set on top of
-// either backend.
+// DiskStorage sorts the handles by file offset and reads each run of
+// byte-adjacent payloads with one preadv(2) straight into the payloads'
+// buffers; MemoryStorage copies everything in one pass. Runs are long
+// because MIndex::InsertBatch appends each insert batch in cell order, so
+// the candidates of one leaf cell sit together in the log. A sharded LRU
+// decorator (payload_cache.h) adds an in-memory hot set on top of either
+// backend.
 //
 // Deletes and compaction: both backends are append-only logs — a payload,
 // once stored, is never rewritten in place. Free(handle) marks a payload
@@ -27,13 +29,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/io_ring.h"
 #include "common/status.h"
 
 namespace simcloud {
@@ -51,13 +51,13 @@ struct DiskReadRun {
   size_t count = 0;
 };
 
-/// The coalesced read schedule DiskStorage::FetchMany executes — shared
-/// between the pread(2) and io_uring executors so both issue identical
-/// reads. `order` lists handle indices sorted by file offset; `runs`
-/// merges payloads that are byte-adjacent in the log (the common case:
-/// one bucket's candidates were appended together). Runs merge across
-/// kSegmentBytes boundaries — segments are an accounting notion, the log
-/// bytes stay contiguous.
+/// The coalesced read schedule DiskStorage::FetchMany executes. `order`
+/// lists handle indices sorted by file offset; `runs` merges payloads that
+/// are byte-adjacent in the log. Adjacency comes from the write side:
+/// MIndex::InsertBatch stores each batch in permutation-prefix (cell)
+/// order, so one cell's entries from one batch form one run. Runs merge
+/// across kSegmentBytes boundaries — segments are an accounting notion,
+/// the log bytes stay contiguous.
 struct DiskReadPlan {
   std::vector<size_t> order;
   std::vector<DiskReadRun> runs;
@@ -219,8 +219,8 @@ class MemoryStorage : public BucketStorage {
 };
 
 /// Append-only single-file storage (paper: "Disk storage"). Handles encode
-/// file offsets; lengths are kept in memory. Reads use pread(2) and are
-/// safe to issue concurrently. Live/dead bytes are accounted per
+/// file offsets; lengths are kept in memory. Reads use pread(2)/preadv(2)
+/// and are safe to issue concurrently. Live/dead bytes are accounted per
 /// kSegmentBytes-sized log segment (a payload is attributed to the segment
 /// its first byte lands in) so CompactionStats can report how much of the
 /// log — and how many whole segments — a compaction would reclaim.
@@ -235,8 +235,8 @@ class DiskStorage : public BucketStorage {
 
   Result<PayloadHandle> Store(const Bytes& payload) override;
   Result<Bytes> Fetch(PayloadHandle handle) const override;
-  /// Sorts handles by offset and coalesces adjacent payloads into single
-  /// pread calls, so a batch over one bucket costs one disk read.
+  /// Sorts handles by offset and reads each run of adjacent payloads with
+  /// one preadv into the output buffers (at most IOV_MAX per call).
   Status FetchMany(std::span<const PayloadHandle> handles,
                    std::vector<Bytes>* out) const override;
   Status Free(PayloadHandle handle) override;
@@ -303,12 +303,6 @@ class DiskStorage : public BucketStorage {
   /// pread exactly `len` bytes at `offset`; short reads (EOF before `len`
   /// bytes, e.g. a truncated backing file) are Corruption, not silence.
   Status ReadExactly(uint8_t* dst, size_t len, uint64_t offset) const;
-  /// Executes `plan` with one batched io_uring submission. NotSupported
-  /// means "use pread instead" (ring unavailable or busy); any other
-  /// error is a real I/O failure.
-  Status FetchManyUring(const DiskReadPlan& plan,
-                        std::span<const PayloadHandle> handles,
-                        std::vector<Bytes>* out) const;
 
   int fd_;
   std::string path_;
@@ -325,14 +319,6 @@ class DiskStorage : public BucketStorage {
   std::vector<bool> live_;
   // Per-segment accounting, indexed by offset / kSegmentBytes.
   std::vector<Segment> segments_;
-  // io_uring read batching (SIMCLOUD_IO_ENGINE=uring), created lazily by
-  // the first FetchMany. The ring is single-owner; concurrent FetchMany
-  // callers that miss the try_lock just take the pread path instead of
-  // queueing. `ring_failed_` latches a failed probe so unsupported
-  // kernels pay the setup attempt once.
-  mutable std::mutex ring_mutex_;
-  mutable std::unique_ptr<IoRing> ring_;
-  mutable bool ring_failed_ = false;
 };
 
 /// Storage backend selector mirroring the paper's Table 2.

@@ -46,13 +46,10 @@ enum class Op : uint8_t {
   kGetMetrics = 16,         ///< admin: observability registry snapshot
 };
 
-/// One insert item: exactly the encrypted object `e` of Algorithm 1.
-struct InsertItem {
-  metric::ObjectId id = 0;
-  std::vector<float> pivot_distances;  ///< precise strategy (may be empty)
-  mindex::Permutation permutation;     ///< approx strategy (may be empty)
-  Bytes payload;                       ///< AES ciphertext
-};
+/// One insert item: exactly the encrypted object `e` of Algorithm 1. The
+/// wire item is the index's own batch item, so the server hands a decoded
+/// batch to MIndex::InsertBatch without copying payloads.
+using InsertItem = mindex::Insertion;
 
 /// One item of a batched delete: the id plus the routing permutation the
 /// insert used — exactly what the single kDelete opcode carries, so the

@@ -261,15 +261,11 @@ Result<Bytes> EncryptedMIndexServer::HandleStream(const Bytes& request_bytes,
   }
   switch (request.op) {
     case Op::kInsertBatch: {
+      const uint64_t count = request.insert_items.size();
       std::unique_lock<std::shared_mutex> lock(index_mutex_);
-      uint64_t inserted = 0;
-      for (auto& item : request.insert_items) {
-        SIMCLOUD_RETURN_NOT_OK(
-            index_->Insert(item.id, std::move(item.pivot_distances),
-                           std::move(item.permutation), item.payload));
-        ++inserted;
-      }
-      return EncodeInsertResponse(inserted);
+      SIMCLOUD_RETURN_NOT_OK(
+          index_->InsertBatch(std::move(request.insert_items)));
+      return EncodeInsertResponse(count);
     }
     case Op::kRangeSearch: {
       std::shared_lock<std::shared_mutex> lock(index_mutex_);

@@ -221,16 +221,17 @@ TEST(InsertTest, RejectedInsertDoesNotLeakStoredPayload) {
   auto index = MIndex::Create(options);
   ASSERT_TRUE(index.ok());
 
-  // The payload is appended to the log before the tree rejects the
-  // too-short routing permutation; the handle must be freed, not leaked
-  // as permanently live.
+  // The tree's routing checks reject the too-short permutation before
+  // the payload is stored: nothing is leaked as live, and no dead bytes
+  // are left for compaction either.
   auto status = (*index)->Insert(1, {}, Permutation{0, 1}, Bytes(64, 0xEE));
   ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ((*index)->size(), 0u);
   const auto stats = (*index)->StorageStats();
   EXPECT_EQ(stats.live_payloads, 0u);
-  EXPECT_EQ(stats.dead_payloads, 1u);
-  EXPECT_EQ(stats.live_bytes, 0u);
+  EXPECT_EQ(stats.dead_payloads, 0u);
+  EXPECT_EQ(stats.TotalBytes(), 0u);
 }
 
 TEST(DeleteBatchTest, MalformedItemRejectsTheBatchBeforeAnyMutation) {

@@ -3,13 +3,18 @@
 // payload cache must never serve bytes for a freed (possibly recycled)
 // handle.
 
+#include <limits.h>  // IOV_MAX
+#include <unistd.h>  // truncate
+
 #include <gtest/gtest.h>
 
+#include <map>
 
 #include "common/rng.h"
 #include "common/scratch_dir.h"
 #include "mindex/payload_cache.h"
 #include "mindex/storage.h"
+#include "obs/metrics.h"
 
 namespace simcloud {
 namespace mindex {
@@ -193,6 +198,109 @@ TEST(DiskStorageTest, FetchManyCoalescesAcrossSegmentBoundary) {
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(fetched[i], expected[i]) << "payload " << i;
   }
+}
+
+// FetchMany reads each run with preadv straight into the output buffers;
+// these pin the executor's edge cases against a byte-for-byte oracle.
+class DiskFetchManyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    auto created = DiskStorage::Create(dir_.File("fetchmany.bin"));
+    ASSERT_TRUE(created.ok());
+    disk_ = std::move(created).value();
+  }
+
+  // Appends one payload of `size` random bytes and records it.
+  PayloadHandle StoreRandom(size_t size) {
+    Bytes payload(size);
+    for (auto& b : payload) b = static_cast<uint8_t>(rng_.NextBounded(256));
+    auto handle = disk_->Store(payload);
+    EXPECT_TRUE(handle.ok());
+    expected_[handle.value_or(0)] = std::move(payload);
+    return handle.value_or(0);
+  }
+
+  void ExpectFetched(const std::vector<PayloadHandle>& handles) {
+    std::vector<Bytes> fetched;
+    ASSERT_TRUE(disk_->FetchMany(handles, &fetched).ok());
+    ASSERT_EQ(fetched.size(), handles.size());
+    for (size_t i = 0; i < handles.size(); ++i) {
+      EXPECT_EQ(fetched[i], expected_[handles[i]]) << "slot " << i;
+    }
+  }
+
+  ScratchDir dir_;  // declared first: removed after the storage closes
+  std::unique_ptr<DiskStorage> disk_;
+  Rng rng_{11};
+  std::map<PayloadHandle, Bytes> expected_;
+};
+
+TEST_F(DiskFetchManyTest, RunLongerThanIovMaxIsSplitIntoChunks) {
+  // 2.5 IOV_MAX adjacent payloads form ONE plan run that crosses several
+  // kSegmentBytes boundaries; the executor must chunk its iovecs.
+  const size_t count = 5 * static_cast<size_t>(IOV_MAX) / 2;
+  std::vector<PayloadHandle> handles;
+  for (size_t i = 0; i < count; ++i) {
+    handles.push_back(StoreRandom(1 + rng_.NextBounded(120)));
+  }
+  ASSERT_GT(disk_->TotalBytes(), 2 * DiskStorage::kSegmentBytes);
+  rng_.Shuffle(handles);
+  ExpectFetched(handles);
+}
+
+TEST_F(DiskFetchManyTest, RecordsOneRunCountPerCall) {
+  std::vector<PayloadHandle> handles;
+  for (int i = 0; i < 6; ++i) handles.push_back(StoreRandom(32));
+  // Slots 0-1 and 4-5 are adjacent pairs; 2-3 are skipped: two runs.
+  const std::vector<PayloadHandle> fetch = {handles[5], handles[0],
+                                            handles[4], handles[1]};
+  auto runs_count = [] {
+    const obs::MetricsSnapshot snapshot = obs::Registry::Default().Snapshot();
+    const obs::HistogramSnapshot* runs =
+        snapshot.histogram("simcloud_payload_fetch_runs");
+    return runs == nullptr ? std::pair<uint64_t, uint64_t>{0, 0}
+                           : std::pair<uint64_t, uint64_t>{runs->count,
+                                                           runs->sum};
+  };
+  ASSERT_TRUE(obs::MetricsEnabled());
+  const auto before = runs_count();
+  ExpectFetched(fetch);
+  const auto after = runs_count();
+  EXPECT_EQ(after.first - before.first, 1u);
+  EXPECT_EQ(after.second - before.second, 2u);
+}
+
+TEST_F(DiskFetchManyTest, DuplicateHandlesFillEverySlot) {
+  std::vector<PayloadHandle> handles;
+  for (int i = 0; i < 5; ++i) handles.push_back(StoreRandom(200 + 10 * i));
+  ExpectFetched({handles[1], handles[3], handles[1], handles[1], handles[4],
+                 handles[3], handles[0]});
+}
+
+TEST_F(DiskFetchManyTest, ZeroLengthPayloadsInsideAndAroundRuns) {
+  std::vector<PayloadHandle> handles;
+  for (size_t size : {0, 5, 0, 0, 7, 0, 300, 0}) {
+    handles.push_back(StoreRandom(size));
+  }
+  ExpectFetched(handles);
+  ExpectFetched({handles[0], handles[3], handles[7]});  // all empty
+  ExpectFetched({handles[6], handles[2], handles[2], handles[1]});
+}
+
+TEST_F(DiskFetchManyTest, TruncatedBackingFileIsCorruption) {
+  std::vector<PayloadHandle> handles;
+  for (int i = 0; i < 8; ++i) handles.push_back(StoreRandom(1000));
+  // Cut the log in the middle of payload 5: one preadv covering the run
+  // comes back short, and the payload-by-payload finish reports it.
+  ASSERT_EQ(::truncate(disk_->path().c_str(), 5 * 1000 + 400), 0);
+  std::vector<Bytes> fetched;
+  const Status status = disk_->FetchMany(handles, &fetched);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+  // Payloads wholly before the cut still read back intact.
+  ExpectFetched({handles[0], handles[4]});
+  EXPECT_EQ(disk_->FetchMany(std::vector<PayloadHandle>{handles[6]}, &fetched)
+                .code(),
+            StatusCode::kCorruption);
 }
 
 TEST(StorageFactoryTest, DiskRequiresPath) {
