@@ -10,7 +10,7 @@
 #           (-fno-sanitize-recover=undefined, set by CMakeLists.txt). Skips
 #           the bench smoke runs — sanitized timings are meaningless.
 #   --tsan  build under ThreadSanitizer and run the concurrency-facing
-#           suites (epoll/io_uring engines, pipelined clients, shard
+#           suites (the epoll server loop, pipelined clients, shard
 #           channels, the parallel query-engine fan-out, stats
 #           accumulators). TSan multiplies runtime ~10x, so the purely
 #           single-threaded suites are skipped.
@@ -115,11 +115,12 @@ if grep -nE 'TempDir\(\)|"/tmp/' tests/* bench/* examples/*; then
   exit 1
 fi
 
-echo "=== lint: the index core does not include io_uring ==="
-# DiskStorage reads with preadv only; io_uring belongs to the server's
-# event engine (src/net/). A second storage executor would be a fork.
-if grep -rn 'include "common/io_ring.h"' src/mindex/; then
-  echo "FAIL: src/mindex/ includes common/io_ring.h; use preadv" >&2
+echo "=== lint: one event loop and one transport interface in src/ ==="
+# The server runs on epoll only and every client speaks net::Transport;
+# the io_uring engine, its env switch and the second transport interface
+# were deleted. Any of these names coming back is a second path.
+if grep -rnE 'io_uring|SIMCLOUD_IO_ENGINE|PipelinedTransport' src/; then
+  echo "FAIL: src/ names a removed engine or transport interface" >&2
   exit 1
 fi
 

@@ -347,7 +347,7 @@ Result<size_t> ServerHandshake::Consume(const uint8_t* data, size_t len,
   size_t consumed = 0;
   if (state_ == State::kAwaitHello) {
     // Reject a non-handshake peer on the first bytes we can judge: a
-    // plaintext or legacy client must be hard-closed, not served.
+    // plaintext client must be hard-closed, not served.
     const size_t check = std::min<size_t>(len, 4);
     if (check > 0 && std::memcmp(data, kSecureChannelMagic, check) != 0) {
       return Status::PermissionDenied(

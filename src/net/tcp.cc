@@ -5,7 +5,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -54,8 +53,8 @@ obs::Histogram* ServerHandshakeHistogram() {
   return histogram;
 }
 
-// Event-engine tags of the two non-connection fds; connection
-// generations start at 2.
+// Epoll tags of the two non-connection fds; connection generations
+// start at 2.
 constexpr uint64_t kListenTag = 0;
 constexpr uint64_t kWakeTag = 1;
 
@@ -104,6 +103,8 @@ void StoreLE32(uint32_t v, uint8_t* p) {
   for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
+constexpr size_t kFrameHeaderBytes = 8;
+
 Result<Bytes> EncodeFrame(uint32_t request_id, const Bytes& payload) {
   if (payload.size() > kMaxFrameLength) {
     return Status::InvalidArgument("frame body of " +
@@ -111,52 +112,79 @@ Result<Bytes> EncodeFrame(uint32_t request_id, const Bytes& payload) {
                                    " bytes exceeds the 31-bit frame limit");
   }
   // One contiguous buffer so a frame usually leaves in a single send.
-  const size_t header_len = request_id != 0 ? 8 : 4;
-  Bytes frame(header_len + payload.size());
-  StoreLE32(static_cast<uint32_t>(payload.size()) |
-                (request_id != 0 ? kFrameIdFlag : 0),
+  Bytes frame(kFrameHeaderBytes + payload.size());
+  StoreLE32(static_cast<uint32_t>(payload.size()) | kFrameIdFlag,
             frame.data());
-  if (request_id != 0) StoreLE32(request_id, frame.data() + 4);
+  StoreLE32(request_id, frame.data() + 4);
   // An empty payload's data() may be null, which memcpy must not see.
   if (!payload.empty()) {
-    std::memcpy(frame.data() + header_len, payload.data(), payload.size());
+    std::memcpy(frame.data() + kFrameHeaderBytes, payload.data(),
+                payload.size());
   }
   return frame;
 }
 
-Status WriteFrameInternal(int fd, uint32_t request_id, const Bytes& payload) {
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes frame, EncodeFrame(request_id, payload));
-  return WriteAll(fd, frame.data(), frame.size());
+/// Checks a frame's first header word: returns its body length, or an
+/// error for a bit-31-clear header (the retired id-less framing) or a
+/// body over `max_len`.
+Result<uint32_t> FrameBodyLength(const uint8_t* header, size_t max_len) {
+  const uint32_t raw = LoadLE32(header);
+  if ((raw & kFrameIdFlag) == 0) {
+    return Status::NetworkError("frame header without the request-id bit");
+  }
+  const uint32_t len = raw & ~kFrameIdFlag;
+  if (len > max_len) {
+    return Status::NetworkError("frame length " + std::to_string(len) +
+                                " exceeds limit");
+  }
+  return len;
 }
 
-/// Tries to parse one frame (either framing) from buf[*off..]; advances
-/// `*off` and fills `*out` when a complete frame is available. Returns
-/// false when more bytes are needed, an error on protocol violations.
+/// Reads a frame's request id; 0 is a protocol violation.
+Result<uint32_t> FrameRequestId(const uint8_t* header) {
+  const uint32_t id = LoadLE32(header + 4);
+  if (id == 0) return Status::NetworkError("frame with request id 0");
+  return id;
+}
+
+/// Tries to parse one frame from buf[*off..]; advances `*off` and fills
+/// `*out` when a complete frame is available. Returns false when more
+/// bytes are needed, an error on protocol violations (reported as soon
+/// as the offending header word has arrived).
 Result<bool> TryParseFrame(const Bytes& buf, size_t* off, size_t max_len,
                            DecodedFrame* out) {
   const size_t avail = buf.size() - *off;
   if (avail < 4) return false;
   const uint8_t* p = buf.data() + *off;
-  const uint32_t raw = LoadLE32(p);
-  const bool pipelined = (raw & kFrameIdFlag) != 0;
-  const uint32_t len = raw & ~kFrameIdFlag;
-  const size_t header_len = pipelined ? 8 : 4;
-  if (len > max_len) {
-    return Status::NetworkError("frame length " + std::to_string(len) +
-                                " exceeds limit");
-  }
-  if (avail < header_len) return false;
-  uint32_t id = 0;
-  if (pipelined) {
-    id = LoadLE32(p + 4);
-    if (id == 0) {
-      return Status::NetworkError("pipelined frame with request id 0");
-    }
-  }
-  if (avail < header_len + len) return false;
-  out->request_id = id;
-  out->payload.assign(p + header_len, p + header_len + len);
-  *off += header_len + len;
+  SIMCLOUD_ASSIGN_OR_RETURN(uint32_t len, FrameBodyLength(p, max_len));
+  if (avail < kFrameHeaderBytes) return false;
+  SIMCLOUD_ASSIGN_OR_RETURN(out->request_id, FrameRequestId(p));
+  if (avail < kFrameHeaderBytes + len) return false;
+  out->payload.assign(p + kFrameHeaderBytes, p + kFrameHeaderBytes + len);
+  *off += kFrameHeaderBytes + len;
+  return true;
+}
+
+/// Starts a response frame: header space reserved (PatchFrameHeader fills
+/// it once the body is complete), then the server time and ok flag, so
+/// the body is written exactly once, in place.
+BinaryWriter StartResponseFrame(uint64_t server_nanos, bool ok,
+                                size_t payload_bytes) {
+  BinaryWriter frame;
+  frame.Reserve(kFrameHeaderBytes + 9 + payload_bytes);
+  frame.WriteU64(0);  // header placeholder
+  frame.WriteU64(server_nanos);
+  frame.WriteBool(ok);
+  return frame;
+}
+
+/// Writes the length and `id` into a frame's reserved header; false when
+/// the body exceeds the 31-bit frame limit.
+bool PatchFrameHeader(Bytes* frame, uint32_t id) {
+  const size_t body = frame->size() - kFrameHeaderBytes;
+  if (body > kMaxFrameLength) return false;
+  StoreLE32(static_cast<uint32_t>(body) | kFrameIdFlag, frame->data());
+  StoreLE32(id, frame->data() + 4);
   return true;
 }
 
@@ -185,46 +213,24 @@ Status SetNonBlocking(int fd) {
 
 }  // namespace
 
-Status WriteFrame(int fd, const Bytes& payload) {
-  return WriteFrameInternal(fd, 0, payload);
-}
-
 Status WritePipelinedFrame(int fd, uint32_t request_id, const Bytes& payload) {
   if (request_id == 0) {
-    return Status::InvalidArgument("pipelined frames need a nonzero id");
+    return Status::InvalidArgument("frames need a nonzero request id");
   }
-  return WriteFrameInternal(fd, request_id, payload);
+  SIMCLOUD_ASSIGN_OR_RETURN(Bytes frame, EncodeFrame(request_id, payload));
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
 Result<DecodedFrame> ReadAnyFrame(int fd, size_t max_len) {
-  uint8_t header[4];
-  SIMCLOUD_RETURN_NOT_OK(ReadAll(fd, header, sizeof(header)));
-  const uint32_t raw = LoadLE32(header);
+  uint8_t header[kFrameHeaderBytes];
+  SIMCLOUD_RETURN_NOT_OK(ReadAll(fd, header, 4));
+  SIMCLOUD_ASSIGN_OR_RETURN(uint32_t len, FrameBodyLength(header, max_len));
+  SIMCLOUD_RETURN_NOT_OK(ReadAll(fd, header + 4, 4));
   DecodedFrame frame;
-  const uint32_t len = raw & ~kFrameIdFlag;
-  if ((raw & kFrameIdFlag) != 0) {
-    uint8_t id_bytes[4];
-    SIMCLOUD_RETURN_NOT_OK(ReadAll(fd, id_bytes, sizeof(id_bytes)));
-    frame.request_id = LoadLE32(id_bytes);
-    if (frame.request_id == 0) {
-      return Status::NetworkError("pipelined frame with request id 0");
-    }
-  }
-  if (len > max_len) {
-    return Status::NetworkError("frame length " + std::to_string(len) +
-                                " exceeds limit");
-  }
+  SIMCLOUD_ASSIGN_OR_RETURN(frame.request_id, FrameRequestId(header));
   frame.payload.resize(len);
   SIMCLOUD_RETURN_NOT_OK(ReadAll(fd, frame.payload.data(), len));
   return frame;
-}
-
-Result<Bytes> ReadFrame(int fd, size_t max_len) {
-  SIMCLOUD_ASSIGN_OR_RETURN(DecodedFrame frame, ReadAnyFrame(fd, max_len));
-  if (frame.request_id != 0) {
-    return Status::NetworkError("unexpected pipelined frame");
-  }
-  return std::move(frame.payload);
 }
 
 // ---------------------------------------------------------------------------
@@ -257,7 +263,7 @@ Status TcpServer::Start(uint16_t port) {
   auto fail = [this](const std::string& what) {
     Status status =
         Status::NetworkError(what + " failed: " + std::strerror(errno));
-    engine_.reset();
+    epoll_.reset();
     for (int* fd : {&listen_fd_, &wake_fd_}) {
       if (*fd >= 0) {
         ::close(*fd);
@@ -289,23 +295,21 @@ Status TcpServer::Start(uint16_t port) {
   if (::listen(listen_fd_, 1024) < 0) return fail("listen");
   if (!SetNonBlocking(listen_fd_).ok()) return fail("fcntl");
 
-  Result<std::unique_ptr<EventEngine>> engine = EventEngine::Create();
-  if (!engine.ok()) return fail("event engine setup");
-  engine_ = std::move(*engine);
+  Result<std::unique_ptr<Epoll>> epoll = Epoll::Create();
+  if (!epoll.ok()) return fail("epoll_create1");
+  epoll_ = std::move(*epoll);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) return fail("eventfd");
-  // The listen and wake fds keep EPOLLIN interest forever, which lets
-  // the io_uring engine hold a standing multishot poll on them.
-  if (!engine_->Add(listen_fd_, kListenTag, EPOLLIN, true).ok()) {
+  if (!epoll_->Add(listen_fd_, kListenTag, EPOLLIN).ok()) {
     return fail("register(listen)");
   }
-  if (!engine_->Add(wake_fd_, kWakeTag, EPOLLIN, true).ok()) {
+  if (!epoll_->Add(wake_fd_, kWakeTag, EPOLLIN).ok()) {
     return fail("register(wake)");
   }
   SIMCLOUD_LOG(kInfo) << obs::RuntimeBanner(
       "TcpServer",
-      "127.0.0.1:" + std::to_string(port_) + " io_engine=" + engine_->name() +
-          " policy=" +
+      "127.0.0.1:" + std::to_string(port_) + " io_engine=" +
+          io_engine_name() + " policy=" +
           (options_.channel_policy == ChannelPolicy::kSecure ? "secure"
                                                              : "plaintext"));
 
@@ -333,24 +337,16 @@ class TcpServer::ConnPushSink : public PushSink {
       : shared_(std::move(shared)), id_(id) {}
 
   Status TryPush(const Bytes& payload) override {
-    // Framed exactly like a pipelined response (u64 server_nanos — zero,
-    // no handler ran — ok flag, payload) so the client parses pushes and
-    // responses with one decoder, and secure connections seal them like
-    // any response burst.
-    BinaryWriter body;
-    body.Reserve(payload.size() + 16);
-    body.WriteU64(0);
-    body.WriteBool(true);
-    body.WriteRaw(payload.data(), payload.size());
-    Bytes encoded = body.TakeBuffer();
-    if (encoded.size() > kMaxFrameLength) {
+    // Framed exactly like a response (u64 server_nanos — zero, no handler
+    // ran — ok flag, payload) so the client parses pushes and responses
+    // with one decoder, and secure connections seal them like any
+    // response burst.
+    BinaryWriter writer = StartResponseFrame(0, true, payload.size());
+    writer.WriteRaw(payload.data(), payload.size());
+    Bytes frame = writer.TakeBuffer();
+    if (!PatchFrameHeader(&frame, id_)) {
       return Status::InvalidArgument("push exceeds the 31-bit frame limit");
     }
-    Bytes frame(8 + encoded.size());
-    StoreLE32(static_cast<uint32_t>(encoded.size()) | kFrameIdFlag,
-              frame.data());
-    StoreLE32(id_, frame.data() + 4);
-    std::memcpy(frame.data() + 8, encoded.data(), encoded.size());
 
     std::lock_guard<std::mutex> open_lock(shared_->mutex);
     if (!shared_->open) {
@@ -395,27 +391,18 @@ class TcpServer::ConnPushSink : public PushSink {
 class TcpServer::ConnStreamContext : public StreamContext {
  public:
   ConnStreamContext(std::shared_ptr<ConnShared> shared, uint32_t id,
-                    uint64_t gen, bool legacy, obs::TraceSpan* span)
-      : shared_(std::move(shared)),
-        id_(id),
-        gen_(gen),
-        legacy_(legacy),
-        span_(span) {}
-  /// Null on a legacy connection: the bit-31-clear framing has no request
-  /// id to push on, so stream-registering opcodes must fail cleanly.
+                    uint64_t gen, obs::TraceSpan* span)
+      : shared_(std::move(shared)), id_(id), gen_(gen), span_(span) {}
   std::shared_ptr<PushSink> MakeSink() override {
-    if (legacy_ || shared_ == nullptr) return nullptr;
     return std::make_shared<ConnPushSink>(shared_, id_);
   }
   uint64_t connection_id() const override { return gen_; }
-  bool pipelined() const override { return !legacy_; }
   obs::TraceSpan* trace() const override { return span_; }
 
  private:
   std::shared_ptr<ConnShared> shared_;
   const uint32_t id_;
   const uint64_t gen_;
-  const bool legacy_;
   obs::TraceSpan* const span_;
 };
 
@@ -442,7 +429,7 @@ void TcpServer::Stop() {
     ::close(wake_fd_);
     wake_fd_ = -1;
   }
-  engine_.reset();
+  epoll_.reset();
 }
 
 void TcpServer::WakeLoop() {
@@ -456,15 +443,15 @@ void TcpServer::WakeLoop() {
 }
 
 void TcpServer::EventLoop() {
-  std::vector<EventEngine::Event> events;
+  std::vector<epoll_event> events;
   while (running_.load()) {
-    const Status wait_status = engine_->Wait(&events);
+    const Status wait_status = epoll_->Wait(&events);
     if (!wait_status.ok()) {
       SIMCLOUD_LOG(kWarn) << "event wait failed: " << wait_status.message();
       break;
     }
     for (size_t i = 0; i < events.size() && running_.load(); ++i) {
-      const uint64_t tag = events[i].tag;
+      const uint64_t tag = events[i].data.u64;
       if (tag == kListenTag) {
         AcceptNewConnections();
         continue;
@@ -501,7 +488,7 @@ void TcpServer::EventLoop() {
   // Teardown: drop every connection; workers may still be finishing
   // handler calls — their completions land in done_queue_ and are never
   // delivered, which is fine, nothing references the dead connections.
-  // The wake fd and the engine stay open until Stop() has joined the
+  // The wake fd and the epoll fd stay open until Stop() has joined the
   // workers: a worker's WakeLoop() after a close here could hit a
   // recycled fd number.
   std::vector<Connection*> open;
@@ -545,10 +532,9 @@ void TcpServer::AcceptNewConnections() {
       if (obs::MetricsEnabled()) conn->accept_nanos = obs::MonotonicNanos();
     }
     conn->interest = EPOLLIN | EPOLLRDHUP;
-    const Status add_status =
-        engine_->Add(fd, conn->gen, conn->interest, /*constant_interest=*/false);
+    const Status add_status = epoll_->Add(fd, conn->gen, conn->interest);
     if (!add_status.ok()) {
-      SIMCLOUD_LOG(kWarn) << "engine add failed: " << add_status.message();
+      SIMCLOUD_LOG(kWarn) << "epoll add failed: " << add_status.message();
       ::close(fd);
       continue;
     }
@@ -594,7 +580,7 @@ bool TcpServer::DecryptIncoming(Connection* conn) {
         conn->raw.data() + conn->raw_off, conn->raw.size() - conn->raw_off,
         &reply);
     if (!advanced.ok()) {
-      // Downgrade attempt (plaintext/legacy client), wrong PSK, or a
+      // Downgrade attempt (plaintext client), wrong PSK, or a
       // malformed handshake: hard-close without answering.
       SIMCLOUD_LOG(kWarn) << "secure handshake rejected: "
                           << advanced.status().message();
@@ -628,40 +614,21 @@ bool TcpServer::DecryptIncoming(Connection* conn) {
 }
 
 bool TcpServer::ParseFrames(Connection* conn) {
-  for (;;) {
-    // Legacy (id 0) requests keep the old serve-loop contract: nothing
-    // else from this connection runs concurrently, and their responses
-    // go out in request order.
-    if (conn->legacy_in_flight) break;
-    const size_t avail = conn->in.size() - conn->in_off;
-    if (avail < 4) break;
-    const uint8_t* p = conn->in.data() + conn->in_off;
-    const uint32_t raw = LoadLE32(p);
-    const bool pipelined = (raw & kFrameIdFlag) != 0;
-    const uint32_t len = raw & ~kFrameIdFlag;
-    const size_t header_len = pipelined ? 8 : 4;
-    if (len > options_.max_frame_bytes) return false;  // protocol violation
-    uint32_t id = 0;
-    if (pipelined) {
-      if (avail < 8) break;
-      id = LoadLE32(p + 4);
-      if (id == 0) return false;  // flagged frame must carry a real id
-    }
-    if (avail < header_len + len) break;  // frame still arriving
-    if (pipelined && conn->in_flight >= options_.max_in_flight) break;
-    if (!pipelined && conn->in_flight > 0) break;
-    if (conn->out_bytes >= options_.max_output_queue_bytes) break;
+  while (conn->in_flight < options_.max_in_flight &&
+         conn->out_bytes < options_.max_output_queue_bytes) {
+    DecodedFrame frame;
+    Result<bool> parsed = TryParseFrame(conn->in, &conn->in_off,
+                                        options_.max_frame_bytes, &frame);
+    if (!parsed.ok()) return false;  // protocol violation
+    if (!*parsed) break;             // frame still arriving
 
     WorkItem item;
     item.gen = conn->gen;
-    item.id = id;
-    item.legacy = !pipelined;
-    if (pipelined) item.shared = conn->shared;  // legacy cannot push
-    item.body.assign(p + header_len, p + header_len + len);
+    item.id = frame.request_id;
+    item.shared = conn->shared;
+    item.body = std::move(frame.payload);
     if (obs::TracingActive()) item.enqueue_nanos = obs::MonotonicNanos();
-    conn->in_off += header_len + len;
     conn->in_flight++;
-    if (!pipelined) conn->legacy_in_flight = true;
     frames_dispatched_.fetch_add(1);
     {
       std::lock_guard<std::mutex> lock(work_mutex_);
@@ -760,7 +727,7 @@ bool TcpServer::UpdateConnection(Connection* conn) {
   const bool backpressured =
       conn->in_flight >= options_.max_in_flight ||
       conn->out_bytes >= options_.max_output_queue_bytes;
-  if (!conn->read_eof && !backpressured && !conn->legacy_in_flight) {
+  if (!conn->read_eof && !backpressured) {
     want |= EPOLLIN;
   }
   if (!conn->out.empty()) want |= EPOLLOUT;
@@ -770,7 +737,7 @@ bool TcpServer::UpdateConnection(Connection* conn) {
       reads_paused_.fetch_add(1);
       ReadPausesCounter()->Add(1);
     }
-    if (!engine_->Modify(conn->fd, conn->gen, want).ok()) {
+    if (!epoll_->Modify(conn->fd, conn->gen, want).ok()) {
       CloseConnection(conn);
       return false;
     }
@@ -787,7 +754,7 @@ void TcpServer::CloseConnection(Connection* conn) {
     std::lock_guard<std::mutex> lock(conn->shared->mutex);
     conn->shared->open = false;
   }
-  engine_->Remove(conn->fd, conn->gen);  // before close: cancels uring polls
+  epoll_->Remove(conn->fd);
   ::close(conn->fd);
   active_connections_.fetch_sub(1);
   ConnectionsGauge()->Add(-1);
@@ -834,7 +801,6 @@ void TcpServer::DrainCompletions() {
       conn->shared->pending_push_bytes.fetch_sub(completion.frame.size());
     } else {
       conn->in_flight--;
-      if (completion.legacy) conn->legacy_in_flight = false;
     }
     touched.push_back(completion.gen);
     if (conn->channel) {
@@ -913,11 +879,7 @@ void TcpServer::WorkerLoop() {
 
     Stopwatch watch;
     Result<Bytes> response = [&]() -> Result<Bytes> {
-      // Legacy frames get a context too (it carries the connection
-      // identity for cursor reaping), but one whose sink is null and
-      // whose pipelined() is false — stream/cursor opcodes fail cleanly
-      // while the connection stays usable.
-      ConnStreamContext stream(item.shared, item.id, item.gen, item.legacy,
+      ConnStreamContext stream(item.shared, item.id, item.gen,
                                traced ? &span : nullptr);
       obs::TraceSpan::Scope scope(traced ? &span : nullptr);
       return handler_->HandleStream(item.body, &stream);
@@ -925,35 +887,26 @@ void TcpServer::WorkerLoop() {
     const int64_t server_nanos = watch.ElapsedNanos();
 
     const uint64_t seal_start = traced ? obs::MonotonicNanos() : 0;
-    BinaryWriter body;
-    if (response.ok()) body.Reserve(response->size() + 16);
-    body.WriteU64(static_cast<uint64_t>(server_nanos));
-    body.WriteBool(response.ok());
-    if (response.ok()) {
-      body.WriteRaw(response->data(), response->size());
-    } else {
-      body.WriteString(response.status().ToString());
-    }
-    Bytes encoded = body.TakeBuffer();
-    if (encoded.size() > kMaxFrameLength) {
-      BinaryWriter error;
-      error.WriteU64(static_cast<uint64_t>(server_nanos));
-      error.WriteBool(false);
-      error.WriteString("response exceeds the 31-bit frame limit");
-      encoded = error.TakeBuffer();
-    }
-
     Completion completion;
     completion.gen = item.gen;
-    completion.legacy = item.legacy;
-    const size_t header_len = item.legacy ? 4 : 8;
-    completion.frame.resize(header_len + encoded.size());
-    StoreLE32(static_cast<uint32_t>(encoded.size()) |
-                  (item.legacy ? 0 : kFrameIdFlag),
-              completion.frame.data());
-    if (!item.legacy) StoreLE32(item.id, completion.frame.data() + 4);
-    std::memcpy(completion.frame.data() + header_len, encoded.data(),
-                encoded.size());
+    {
+      const size_t payload_bytes = response.ok() ? response->size() : 0;
+      BinaryWriter writer = StartResponseFrame(
+          static_cast<uint64_t>(server_nanos), response.ok(), payload_bytes);
+      if (response.ok()) {
+        writer.WriteRaw(response->data(), response->size());
+      } else {
+        writer.WriteString(response.status().ToString());
+      }
+      completion.frame = writer.TakeBuffer();
+    }
+    if (!PatchFrameHeader(&completion.frame, item.id)) {
+      BinaryWriter error =
+          StartResponseFrame(static_cast<uint64_t>(server_nanos), false, 0);
+      error.WriteString("response exceeds the 31-bit frame limit");
+      completion.frame = error.TakeBuffer();
+      PatchFrameHeader(&completion.frame, item.id);
+    }
 
     if (traced) {
       // Worker-side framing cost; the secure policy's per-burst Seal on
@@ -962,7 +915,7 @@ void TcpServer::WorkerLoop() {
       span.AddStageNanos(obs::Stage::kSealSend,
                          obs::MonotonicNanos() - seal_start);
       obs::FinishRequestSpan(span, static_cast<uint64_t>(server_nanos),
-                             header_len + item.body.size(),
+                             kFrameHeaderBytes + item.body.size(),
                              completion.frame.size());
     }
 
@@ -1054,37 +1007,48 @@ void TcpTransport::ResetCosts() {
   costs_.Clear();
 }
 
-Status TcpTransport::SubmitFrame(const Bytes& request, uint32_t id) {
+uint64_t TcpTransport::stray_frames_dropped() const {
+  std::lock_guard<std::mutex> lock(state_mutex_);
+  return stray_frames_;
+}
+
+Result<uint32_t> TcpTransport::SubmitFrame(const Bytes& request, bool stream) {
+  uint32_t id;
   {
+    // Registered BEFORE the frame is written: a response (or a push)
+    // racing the registration would otherwise read as a stray.
     std::lock_guard<std::mutex> lock(state_mutex_);
     SIMCLOUD_RETURN_NOT_OK(broken_);
+    id = next_id_;
+    if (next_id_ == 0xFFFFFFFFu) {
+      next_id_ = 1;
+      ids_wrapped_ = true;
+    } else {
+      ++next_id_;
+    }
     outstanding_.insert(id);
+    if (stream) streaming_.insert(id);
   }
-  Status written;
-  {
+  Status written = [&]() -> Status {
+    SIMCLOUD_ASSIGN_OR_RETURN(Bytes frame, EncodeFrame(id, request));
     // Whole-frame writes are serialized so concurrent submitters can
     // never interleave bytes inside each other's frames (and, on a
     // secure channel, so records leave in sealing order).
     std::lock_guard<std::mutex> lock(write_mutex_);
-    if (channel_) {
-      written = [&]() -> Status {
-        SIMCLOUD_ASSIGN_OR_RETURN(Bytes frame, EncodeFrame(id, request));
-        // A large request leaves record by record: each 64 KiB record is
-        // on the wire (and being opened by the server) while the next is
-        // sealed.
-        return channel_->SealRecords(
-            frame.data(), frame.size(), [this](Bytes record) {
-              return WriteAll(fd_, record.data(), record.size());
-            });
-      }();
-    } else {
-      written = WriteFrameInternal(fd_, id, request);
-    }
-  }
+    if (!channel_) return WriteAll(fd_, frame.data(), frame.size());
+    // A large request leaves record by record: each 64 KiB record is on
+    // the wire (and being opened by the server) while the next is sealed.
+    return channel_->SealRecords(
+        frame.data(), frame.size(), [this](Bytes record) {
+          return WriteAll(fd_, record.data(), record.size());
+        });
+  }();
   if (!written.ok()) {
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
       outstanding_.erase(id);
+      streaming_.erase(id);
+      stream_ready_.erase(id);
     }
     // A failed write is a dead stream: fail every parked collector now
     // (including one blocked in recv() as the elected reader) instead of
@@ -1095,7 +1059,7 @@ Status TcpTransport::SubmitFrame(const Bytes& request, uint32_t id) {
   std::lock_guard<std::mutex> lock(costs_mutex_);
   costs_.calls++;
   costs_.bytes_sent += request.size();
-  return Status::OK();
+  return id;
 }
 
 namespace {
@@ -1192,10 +1156,13 @@ Status TcpTransport::ReadOneResponse(
     stream_ready_[frame.request_id].push_back(std::move(ready));
     return Status::OK();
   }
-  if (closed_streams_.count(frame.request_id) != 0) {
-    return Status::OK();  // late frame for an abandoned stream: drop
-  }
   if (outstanding_.erase(frame.request_id) == 0) {
+    if (frame.request_id < next_id_ || ids_wrapped_) {
+      // Issued here, but nobody waits on it any more: a late frame for a
+      // closed stream, or pushes for a watch registered through Call.
+      ++stray_frames_;
+      return Status::OK();
+    }
     return Status::NetworkError("response for unknown request id " +
                                 std::to_string(frame.request_id));
   }
@@ -1256,13 +1223,12 @@ Result<TcpTransport::ReadyResponse> TcpTransport::AwaitResponse(
 }
 
 Result<Bytes> TcpTransport::Call(const Bytes& request) {
-  // Legacy framing (request id 0): byte-identical on the wire to the
-  // pre-pipelining protocol. One synchronous Call at a time; pipelined
-  // Submit/Collect traffic may interleave freely around it.
+  // One synchronous Call at a time; pipelined Submit/Collect traffic may
+  // interleave freely around it.
   std::lock_guard<std::mutex> call_lock(call_mutex_);
   Stopwatch watch;
-  SIMCLOUD_RETURN_NOT_OK(SubmitFrame(request, 0));
-  SIMCLOUD_ASSIGN_OR_RETURN(ReadyResponse response, AwaitResponse(0));
+  SIMCLOUD_ASSIGN_OR_RETURN(uint32_t id, SubmitFrame(request, false));
+  SIMCLOUD_ASSIGN_OR_RETURN(ReadyResponse response, AwaitResponse(id));
   const int64_t wall_nanos = watch.ElapsedNanos();
   {
     std::lock_guard<std::mutex> lock(costs_mutex_);
@@ -1273,13 +1239,7 @@ Result<Bytes> TcpTransport::Call(const Bytes& request) {
 }
 
 Result<uint64_t> TcpTransport::Submit(const Bytes& request) {
-  uint32_t id;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    id = next_id_;
-    next_id_ = next_id_ == 0xFFFFFFFFu ? 1 : next_id_ + 1;
-  }
-  SIMCLOUD_RETURN_NOT_OK(SubmitFrame(request, id));
+  SIMCLOUD_ASSIGN_OR_RETURN(uint32_t id, SubmitFrame(request, false));
   return static_cast<uint64_t>(id);
 }
 
@@ -1295,27 +1255,7 @@ Result<Bytes> TcpTransport::Collect(uint64_t ticket) {
 }
 
 Result<uint64_t> TcpTransport::SubmitStream(const Bytes& request) {
-  uint32_t id;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    id = next_id_;
-    next_id_ = next_id_ == 0xFFFFFFFFu ? 1 : next_id_ + 1;
-  }
-  {
-    // Registered BEFORE the frame is written (like outstanding_ in
-    // SubmitFrame): a push racing the registration would otherwise be an
-    // unknown id and poison the connection.
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    streaming_.insert(id);
-    closed_streams_.erase(id);  // id numbers wrap; forget old tombstones
-  }
-  Status written = SubmitFrame(request, id);
-  if (!written.ok()) {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    streaming_.erase(id);
-    stream_ready_.erase(id);
-    return written;
-  }
+  SIMCLOUD_ASSIGN_OR_RETURN(uint32_t id, SubmitFrame(request, true));
   return static_cast<uint64_t>(id);
 }
 
@@ -1375,10 +1315,9 @@ void TcpTransport::CloseStream(uint64_t ticket) {
   std::lock_guard<std::mutex> lock(state_mutex_);
   if (streaming_.erase(id) == 0) return;
   stream_ready_.erase(id);
+  // Frames the server had already queued when the watch was torn down
+  // now arrive as strays for an issued id, and are dropped.
   outstanding_.erase(id);
-  // Tombstone: frames the server had already queued when the watch was
-  // torn down must not read as unknown-id protocol violations.
-  closed_streams_.insert(id);
 }
 
 Result<Bytes> TcpTransport::CollectFor(uint64_t ticket, int timeout_ms) {

@@ -2,28 +2,25 @@
 // deployment of the encryption client and M-Index server as two processes
 // communicating over the loopback interface.
 //
-// The server is a readiness-driven event engine (epoll by default,
-// io_uring via SIMCLOUD_IO_ENGINE=uring — see net/event_engine.h): one
-// event-loop thread owns every connection (nonblocking sockets,
-// incremental frame reassembly, bounded per-connection output queues
-// with read backpressure) and a
-// small fixed worker pool executes RequestHandler calls off the loop.
-// Thousands of mostly-idle connections therefore cost O(worker pool)
-// threads, not O(connections), and one connection can pipeline many
-// in-flight requests. See src/net/README.md for the full framing and
-// threading contract.
+// The server is an epoll event loop (net/epoll.h): one event-loop thread
+// owns every connection (nonblocking sockets, incremental frame
+// reassembly, bounded per-connection output queues with read
+// backpressure) and a small fixed worker pool executes RequestHandler
+// calls off the loop. Thousands of mostly-idle connections therefore cost
+// O(worker pool) threads, not O(connections), and one connection can
+// pipeline many in-flight requests. See src/net/README.md for the full
+// framing and threading contract.
 //
 // Wire format per frame (little-endian):
-//   u32 header  — bit 31 set: pipelined frame; bits 0..30: body length
-//   u32 id      — request id (present only when bit 31 is set; never 0)
+//   u32 header  — bit 31 always set; bits 0..30: body length
+//   u32 id      — request id, never 0
 //   body        — request / response bytes
-// A header with bit 31 clear is a LEGACY frame (request id 0): exactly
-// the pre-pipelining wire format, so old single-request clients work
-// unchanged. Responses echo the request's id (legacy requests get legacy
-// responses, in request order). Response bodies additionally carry the
-// server's processing time (u64 nanos) and an ok flag before the payload
-// so the client can split wall time into server vs. communication
-// components, as the paper's tables require.
+// A header with bit 31 clear (the retired id-less framing) or an id of 0
+// is a protocol violation: the server closes the connection and a client
+// treats its stream as broken. Responses echo the request's id. Response
+// bodies additionally carry the server's processing time (u64 nanos) and
+// an ok flag before the payload so the client can split wall time into
+// server vs. communication components, as the paper's tables require.
 
 #ifndef SIMCLOUD_NET_TCP_H_
 #define SIMCLOUD_NET_TCP_H_
@@ -43,21 +40,21 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
-#include "net/event_engine.h"
+#include "net/epoll.h"
 #include "net/secure_channel.h"
 #include "net/transport.h"
 
 namespace simcloud {
 namespace net {
 
-/// Frame-header bit marking a pipelined frame (request id follows).
+/// Frame-header bit every frame carries (a request id follows).
 inline constexpr uint32_t kFrameIdFlag = 0x80000000u;
 /// Largest body length the 31-bit frame header can express.
 inline constexpr uint32_t kMaxFrameLength = 0x7FFFFFFFu;
 
-/// One frame of either framing, as read off a socket.
+/// One frame as read off a socket.
 struct DecodedFrame {
-  uint32_t request_id = 0;  ///< 0 for legacy frames
+  uint32_t request_id = 0;
   Bytes payload;
 };
 
@@ -77,14 +74,12 @@ struct TcpServerOptions {
   /// their responses, so peak queued bytes can transiently exceed this
   /// by the in-flight responses.
   size_t max_output_queue_bytes = 8u << 20;
-  /// Pipelined requests of one connection being handled concurrently;
-  /// further frames wait in the input buffer. Legacy (id 0) requests are
-  /// never concurrent with anything on their connection, preserving the
-  /// old serve-loop semantics.
+  /// Requests of one connection being handled concurrently; further
+  /// frames wait in the input buffer.
   size_t max_in_flight = 64;
   /// kSecure: every accepted connection must complete the PSK handshake
   /// (driven on the event loop, never blocking other connections) and
-  /// speak AEAD records; plaintext/legacy clients are hard-closed.
+  /// speak AEAD records; plaintext clients are hard-closed.
   /// kPlaintext (default): the original wire format, byte-identical.
   ChannelPolicy channel_policy = ChannelPolicy::kPlaintext;
   /// PSK + rekey budgets when channel_policy is kSecure (psk required).
@@ -120,10 +115,8 @@ class TcpServer {
 
   /// Engine introspection (tests and benches).
   size_t worker_threads() const { return options_.worker_threads; }
-  /// Readiness-engine name ("epoll" or "io_uring"); valid after Start.
-  const char* io_engine_name() const {
-    return engine_ ? engine_->name() : "none";
-  }
+  /// Readiness-engine name, for banners.
+  const char* io_engine_name() const { return "epoll"; }
   size_t active_connections() const { return active_connections_.load(); }
   uint64_t frames_dispatched() const { return frames_dispatched_.load(); }
   uint64_t frames_completed() const { return frames_completed_.load(); }
@@ -180,7 +173,6 @@ class TcpServer {
     size_t out_off = 0;        ///< progress within out.front()
     size_t out_bytes = 0;      ///< total unsent bytes across `out`
     uint32_t in_flight = 0;    ///< requests dispatched, response not queued
-    bool legacy_in_flight = false;  ///< an id-0 request is being handled
     bool read_eof = false;     ///< peer half-closed its write side
     uint32_t interest = 0;     ///< current epoll event mask
     uint64_t accept_nanos = 0;  ///< monotonic accept time (handshake latency)
@@ -189,7 +181,6 @@ class TcpServer {
   struct WorkItem {
     uint64_t gen = 0;
     uint32_t id = 0;
-    bool legacy = false;
     Bytes body;
     std::shared_ptr<ConnShared> shared;  ///< for minting push sinks
     uint64_t enqueue_nanos = 0;  ///< parse time; 0 when tracing is off
@@ -197,7 +188,6 @@ class TcpServer {
 
   struct Completion {
     uint64_t gen = 0;
-    bool legacy = false;
     /// Server-push frame (change streams): not a response to any
     /// dispatched request, so it must not decrement in_flight.
     bool push = false;
@@ -228,9 +218,8 @@ class TcpServer {
   TcpServerOptions options_;
   int listen_fd_ = -1;
   int wake_fd_ = -1;
-  /// Readiness engine (epoll by default, io_uring when selected via
-  /// SIMCLOUD_IO_ENGINE=uring). Owned by the loop thread after Start.
-  std::unique_ptr<EventEngine> engine_;
+  /// Readiness source; owned by the loop thread after Start.
+  std::unique_ptr<Epoll> epoll_;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   bool started_ = false;
@@ -265,16 +254,22 @@ class TcpServer {
   std::atomic<uint64_t> handshakes_completed_{0};
 };
 
-/// TCP client transport. Call() speaks the legacy (request id 0) framing
-/// — byte-identical to the pre-pipelining protocol — while Submit() /
-/// Collect() pipeline many flagged frames over the same connection.
-/// Submit/Collect are safe for concurrent use from multiple threads
-/// (ShardedServer fans out over shared persistent connections); Call()
-/// additionally serializes against itself. Measured wall time minus the
-/// server-reported processing time is attributed to communication for
-/// synchronous Call()s; pipelined requests overlap, so only their bytes
-/// and server time are accounted.
-class TcpTransport : public PipelinedTransport {
+/// TCP client transport. Every request travels as an id-carrying frame:
+/// Call() is one Submit plus a wait for that id, while Submit() /
+/// Collect() pipeline many over the same connection. Submit/Collect are
+/// safe for concurrent use from multiple threads (ShardedServer fans out
+/// over shared persistent connections); Call() additionally serializes
+/// against itself. Measured wall time minus the server-reported
+/// processing time is attributed to communication for synchronous
+/// Call()s; pipelined requests overlap, so only their bytes and server
+/// time are accounted.
+///
+/// A frame for an id this transport issued but no longer waits on (a
+/// collected, closed or abandoned request — e.g. pushes for a watch that
+/// was registered through Call) is dropped and counted in
+/// stray_frames_dropped(); a frame for an id it never issued is a
+/// protocol violation that breaks the stream.
+class TcpTransport : public Transport {
  public:
   /// Connects to `host`:`port`. With ChannelPolicy::kSecure the PSK
   /// handshake runs (blocking, bounded by secure.handshake_timeout_ms)
@@ -305,7 +300,7 @@ class TcpTransport : public PipelinedTransport {
   /// server can push many frames on it; CollectStream pops them in
   /// arrival order (DeadlineExceeded after `timeout_ms` with nothing
   /// queued — soft, like CollectFor). CloseStream forgets the id; any
-  /// frame arriving on it afterwards is dropped silently, so cancel a
+  /// frame arriving on it afterwards is dropped as a stray, so cancel a
   /// stream server-side and drain it BEFORE closing.
   Result<uint64_t> SubmitStream(const Bytes& request) override;
   Result<Bytes> CollectStream(uint64_t ticket, int timeout_ms) override;
@@ -336,6 +331,10 @@ class TcpTransport : public PipelinedTransport {
   /// "host:port" this transport was connected to.
   const std::string& peer() const { return peer_; }
 
+  /// Frames dropped because their id was issued here but nobody waits on
+  /// it any more (see the class comment).
+  uint64_t stray_frames_dropped() const;
+
   /// Costs are updated under an internal lock; read them only while no
   /// Call/Submit/Collect is concurrently in flight.
   const TransportCosts& costs() const override { return costs_; }
@@ -349,9 +348,10 @@ class TcpTransport : public PipelinedTransport {
 
   TcpTransport(int fd, std::string peer) : fd_(fd), peer_(std::move(peer)) {}
 
-  /// Frames (legacy when id == 0) and writes one request — sealed into
-  /// a record first on a secure channel.
-  Status SubmitFrame(const Bytes& request, uint32_t id);
+  /// Issues the next request id, registers it as outstanding (and as a
+  /// stream when `stream`), then frames and writes the request — sealed
+  /// into records first on a secure channel.
+  Result<uint32_t> SubmitFrame(const Bytes& request, bool stream);
   /// Waits until the response for `id` is ready, reading frames off the
   /// socket whenever no other thread is already reading. A null
   /// `deadline` waits forever; otherwise DeadlineExceeded past it.
@@ -380,13 +380,16 @@ class TcpTransport : public PipelinedTransport {
   Bytes recv_plain_;       ///< decrypted, not yet parsed frame bytes
   size_t recv_plain_off_ = 0;
 
-  std::mutex write_mutex_;  ///< serializes frame writes + ticket issue
-  uint32_t next_id_ = 1;
+  std::mutex write_mutex_;  ///< serializes frame writes
 
-  mutable std::mutex state_mutex_;  ///< pending/ready bookkeeping + reader election
+  /// Guards id issue, pending/ready bookkeeping and reader election.
+  mutable std::mutex state_mutex_;
   std::condition_variable state_cv_;
   bool reader_active_ = false;
   Status broken_ = Status::OK();  ///< sticky stream failure
+  uint32_t next_id_ = 1;
+  bool ids_wrapped_ = false;  ///< next_id_ wrapped: every id was issued
+  uint64_t stray_frames_ = 0;
   std::unordered_set<uint32_t> outstanding_;
   std::unordered_map<uint32_t, ReadyResponse> ready_;
   /// Streaming ids: ReadOneResponse routes their frames into
@@ -394,25 +397,17 @@ class TcpTransport : public PipelinedTransport {
   /// the id outstanding for the frames still to come.
   std::unordered_set<uint32_t> streaming_;
   std::unordered_map<uint32_t, std::deque<ReadyResponse>> stream_ready_;
-  /// Closed stream ids: late frames (a server still flushing when the
-  /// client gave up) are dropped instead of poisoning the connection as
-  /// unknown-id protocol violations.
-  std::unordered_set<uint32_t> closed_streams_;
 
   std::mutex costs_mutex_;
   std::mutex call_mutex_;  ///< one synchronous Call at a time
   TransportCosts costs_;
 };
 
-/// Writes one legacy (request id 0) length-prefixed frame to `fd`.
-Status WriteFrame(int fd, const Bytes& payload);
-/// Writes one pipelined frame (`request_id` must be nonzero).
+/// Writes one frame (`request_id` must be nonzero).
 Status WritePipelinedFrame(int fd, uint32_t request_id, const Bytes& payload);
-/// Reads one legacy frame from `fd` (up to `max_len` bytes); a pipelined
-/// frame in the stream is a NetworkError.
-Result<Bytes> ReadFrame(int fd, size_t max_len = 1ull << 31);
 
-/// Reads one frame (legacy or pipelined) from `fd`.
+/// Reads one frame from `fd`; a bit-31-clear header, an id of 0 or a body
+/// over `max_len` bytes is a NetworkError.
 Result<DecodedFrame> ReadAnyFrame(int fd, size_t max_len = 1ull << 31);
 
 }  // namespace net

@@ -48,9 +48,8 @@ class PushSink {
 
 /// Per-request streaming context a transport hands to HandleStream. Today
 /// it only mints push sinks; a null context (or a null sink) means the
-/// transport cannot push on this request — a legacy framed connection or
-/// an in-process loopback call — and stream-registering opcodes must fail
-/// cleanly instead.
+/// transport cannot push on this request — an in-process loopback call —
+/// and stream-registering opcodes must fail cleanly instead.
 class StreamContext {
  public:
   virtual ~StreamContext() = default;
@@ -61,10 +60,6 @@ class StreamContext {
   /// server state (cursors, watches) reaped via OnConnectionClosed. 0 =
   /// no identity (in-process call); such state is TTL-reaped only.
   virtual uint64_t connection_id() const { return 0; }
-  /// Whether the request arrived on the pipelined framing. Legacy
-  /// (bit-31-clear) connections cannot interleave many in-flight
-  /// requests, so stateful opcodes (cursors) reject them cleanly.
-  virtual bool pipelined() const { return true; }
   /// The request's trace span (stage timings, distance accounting), or
   /// null when the transport does not trace (loopback, tracing off).
   /// Handlers annotate it (shard, batch size); the transport finishes it.
@@ -79,7 +74,7 @@ class RequestHandler {
   /// Handles one request; errors become transport-level failures.
   virtual Result<Bytes> Handle(const Bytes& request) = 0;
   /// Handles one request that may register a push stream. `stream` is
-  /// null when the transport cannot push (legacy framing, loopback);
+  /// null when the transport cannot push (loopback);
   /// the default ignores it, so non-streaming handlers need no change.
   virtual Result<Bytes> HandleStream(const Bytes& request,
                                      StreamContext* stream) {
@@ -109,7 +104,13 @@ struct TransportCosts {
   void Clear() { *this = TransportCosts{}; }
 };
 
-/// Synchronous request/response channel as seen by a client.
+/// Request/response channel as seen by a client. Call() is the
+/// synchronous path; Submit() / Collect() pipeline many requests before
+/// any response is collected, so round trips overlap on one persistent
+/// connection. Submit returns a ticket; Collect blocks until that
+/// ticket's response arrives. Requests pipelined together may be
+/// *executed* in any order by the server — callers must not pipeline
+/// requests that depend on each other's effects.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -117,21 +118,6 @@ class Transport {
   /// Sends `request` and waits for the response.
   virtual Result<Bytes> Call(const Bytes& request) = 0;
 
-  /// Costs accumulated over all Call()s so far.
-  virtual const TransportCosts& costs() const = 0;
-  /// Resets the cost accumulators.
-  virtual void ResetCosts() = 0;
-};
-
-/// Transport with request pipelining: many requests can be submitted
-/// before any response is collected, so round trips overlap on one
-/// persistent connection. Submit returns a ticket; Collect blocks until
-/// that ticket's response arrives. Call() remains the synchronous path.
-/// Requests pipelined together may be *executed* in any order by the
-/// server — callers must not pipeline requests that depend on each
-/// other's effects.
-class PipelinedTransport : public Transport {
- public:
   virtual Result<uint64_t> Submit(const Bytes& request) = 0;
   virtual Result<Bytes> Collect(uint64_t ticket) = 0;
 
@@ -141,9 +127,8 @@ class PipelinedTransport : public Transport {
   /// enqueued before its response lands first — callers tag frames in the
   /// payload, not by position. CloseStream forgets the id; any later
   /// frame on it is dropped, so callers must drain a cancelled stream
-  /// BEFORE closing (see EncodeWatchCancelRequest). The base class does
-  /// not pipeline pushes: transports without server-push keep the
-  /// default NotSupported.
+  /// BEFORE closing (see EncodeWatchCancelRequest). Transports without
+  /// server-push keep the default NotSupported.
   virtual Result<uint64_t> SubmitStream(const Bytes& request) {
     (void)request;
     return Status::NotSupported("transport cannot stream");
@@ -154,6 +139,11 @@ class PipelinedTransport : public Transport {
     return Status::NotSupported("transport cannot stream");
   }
   virtual void CloseStream(uint64_t ticket) { (void)ticket; }
+
+  /// Costs accumulated over all calls so far.
+  virtual const TransportCosts& costs() const = 0;
+  /// Resets the cost accumulators.
+  virtual void ResetCosts() = 0;
 };
 
 /// Network link model for deterministic communication-time accounting.
@@ -176,7 +166,7 @@ struct LinkModel {
 /// the handler immediately and buffers the response for its Collect),
 /// keeping loopback and TCP deployments drop-in interchangeable. Not
 /// safe for concurrent use, like the rest of this class.
-class LoopbackTransport : public PipelinedTransport {
+class LoopbackTransport : public Transport {
  public:
   explicit LoopbackTransport(RequestHandler* handler,
                              LinkModel link = LinkModel())

@@ -89,20 +89,12 @@ Result<Bytes> AuthenticatingTransport::Call(const Bytes& request) {
 }
 
 Result<uint64_t> AuthenticatingTransport::Submit(const Bytes& request) {
-  if (pipelined_inner_ == nullptr) {
-    return Status::FailedPrecondition(
-        "inner transport does not support pipelining");
-  }
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes framed, Authenticate(request));
-  return pipelined_inner_->Submit(framed);
+  return inner_->Submit(framed);
 }
 
 Result<Bytes> AuthenticatingTransport::Collect(uint64_t ticket) {
-  if (pipelined_inner_ == nullptr) {
-    return Status::FailedPrecondition(
-        "inner transport does not support pipelining");
-  }
-  return pipelined_inner_->Collect(ticket);
+  return inner_->Collect(ticket);
 }
 
 }  // namespace secure

@@ -84,30 +84,24 @@ class AuthenticatingHandler : public net::RequestHandler {
 };
 
 /// Client-side decorator: prepends nonce + HMAC tag to every request.
-/// Implements the pipelined API too, so it composes with request-id
-/// (bit-31) framing: each Submit authenticates its own request body —
-/// the auth header travels inside the frame body, the transport below
-/// owns the frame header — and tickets pass through unchanged. Submit/
-/// Collect are as thread-safe as the inner transport's (the nonce
-/// counter is atomic); Call serializes like the inner Call.
-class AuthenticatingTransport : public net::PipelinedTransport {
+/// Each Call or Submit authenticates its own request body — the auth
+/// header travels inside the frame body, the transport below owns the
+/// frame header — and tickets pass through unchanged. Submit/Collect are
+/// as thread-safe as the inner transport's (the nonce counter is
+/// atomic); Call serializes like the inner Call.
+class AuthenticatingTransport : public net::Transport {
  public:
-  /// `inner` must outlive the transport. Submit/Collect additionally
-  /// require `inner` to be a net::PipelinedTransport (TcpTransport,
-  /// LoopbackTransport); they fail with FailedPrecondition otherwise.
+  /// `inner` must outlive the transport.
   AuthenticatingTransport(Bytes mac_key, net::Transport* inner)
-      : mac_key_(std::move(mac_key)),
-        inner_(inner),
-        pipelined_inner_(dynamic_cast<net::PipelinedTransport*>(inner)) {}
+      : mac_key_(std::move(mac_key)), inner_(inner) {}
 
   /// Key hygiene: the MAC key is wiped on destruction.
   ~AuthenticatingTransport() override;
 
   Result<Bytes> Call(const Bytes& request) override;
 
-  /// Pipelined pass-through: authenticates the request, submits it as a
-  /// pipelined (bit-31) frame on the inner transport, returns its
-  /// ticket.
+  /// Pipelined pass-through: authenticates the request, submits it on
+  /// the inner transport, returns its ticket.
   Result<uint64_t> Submit(const Bytes& request) override;
   Result<Bytes> Collect(uint64_t ticket) override;
 
@@ -123,7 +117,6 @@ class AuthenticatingTransport : public net::PipelinedTransport {
 
   Bytes mac_key_;
   net::Transport* inner_;
-  net::PipelinedTransport* pipelined_inner_;  ///< null when not pipelined
   std::atomic<uint64_t> counter_{0};  // mixed into nonces for uniqueness
 };
 

@@ -471,24 +471,12 @@ Result<std::vector<NeighborList>> EncryptionClient::ApproxKnnBatch(
   return answers;
 }
 
-Result<net::PipelinedTransport*> EncryptionClient::PipelinedOrFail() const {
-  auto* pipelined = dynamic_cast<net::PipelinedTransport*>(transport_);
-  if (pipelined == nullptr) {
-    return Status::FailedPrecondition(
-        "transport does not support pipelining (need TcpTransport or "
-        "LoopbackTransport)");
-  }
-  return pipelined;
-}
-
 Result<PendingQueryBatch> EncryptionClient::SubmitRangeSearchBatch(
     std::vector<VectorObject> queries, double radius) {
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes request,
                             BuildRangeSearchBatchRequest(queries, radius));
   PendingQueryBatch pending;
-  SIMCLOUD_ASSIGN_OR_RETURN(pending.ticket, pipelined->Submit(request));
+  SIMCLOUD_ASSIGN_OR_RETURN(pending.ticket, transport_->Submit(request));
   pending.live = true;
   pending.queries = std::move(queries);
   pending.radius = radius;
@@ -502,22 +490,18 @@ Result<std::vector<NeighborList>> EncryptionClient::CollectRangeSearchBatch(
         "batch was never submitted or is already collected");
   }
   pending->live = false;
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
-                            pipelined->Collect(pending->ticket));
+                            transport_->Collect(pending->ticket));
   return FinishRangeSearchBatch(response_bytes, pending->queries,
                                 pending->radius);
 }
 
 Result<PendingQueryBatch> EncryptionClient::SubmitApproxKnnBatch(
     std::vector<VectorObject> queries, size_t k, size_t cand_size) {
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
   SIMCLOUD_ASSIGN_OR_RETURN(
       Bytes request, BuildApproxKnnBatchRequest(queries, k, cand_size));
   PendingQueryBatch pending;
-  SIMCLOUD_ASSIGN_OR_RETURN(pending.ticket, pipelined->Submit(request));
+  SIMCLOUD_ASSIGN_OR_RETURN(pending.ticket, transport_->Submit(request));
   pending.live = true;
   pending.queries = std::move(queries);
   pending.k = k;
@@ -531,17 +515,13 @@ Result<std::vector<NeighborList>> EncryptionClient::CollectApproxKnnBatch(
         "batch was never submitted or is already collected");
   }
   pending->live = false;
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
-                            pipelined->Collect(pending->ticket));
+                            transport_->Collect(pending->ticket));
   return FinishApproxKnnBatch(response_bytes, pending->queries, pending->k);
 }
 
 Result<PendingDeleteBatch> EncryptionClient::SubmitDeleteBatch(
     const std::vector<VectorObject>& objects) {
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
   if (objects.size() > kMaxBatchQueries) {
     return Status::InvalidArgument(
         "batch exceeds the " + std::to_string(kMaxBatchQueries) +
@@ -556,8 +536,8 @@ Result<PendingDeleteBatch> EncryptionClient::SubmitDeleteBatch(
         DeleteItem{object.id(), mindex::DistancesToPermutation(distances)});
   }
   PendingDeleteBatch pending;
-  SIMCLOUD_ASSIGN_OR_RETURN(pending.ticket,
-                            pipelined->Submit(EncodeDeleteBatchRequest(items)));
+  SIMCLOUD_ASSIGN_OR_RETURN(
+      pending.ticket, transport_->Submit(EncodeDeleteBatchRequest(items)));
   pending.live = true;
   pending.count = objects.size();
   return pending;
@@ -569,10 +549,8 @@ Status EncryptionClient::CollectDeleteBatch(PendingDeleteBatch* pending) {
         "batch was never submitted or is already collected");
   }
   pending->live = false;
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes response,
-                            pipelined->Collect(pending->ticket));
+                            transport_->Collect(pending->ticket));
   SIMCLOUD_ASSIGN_OR_RETURN(uint64_t deleted, DecodeInsertResponse(response));
   if (deleted > pending->count) {
     return Status::Internal("server acknowledged more deletes than sent");
@@ -593,15 +571,11 @@ Status EncryptionClient::Ping() {
 }
 
 Result<uint64_t> EncryptionClient::SubmitPing() {
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
-  return pipelined->Submit(EncodePingRequest());
+  return transport_->Submit(EncodePingRequest());
 }
 
 Status EncryptionClient::CollectPing(uint64_t ticket) {
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, pipelined->Collect(ticket));
+  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, transport_->Collect(ticket));
   (void)response;
   return Status::OK();
 }
@@ -718,30 +692,28 @@ bool EncryptionClient::IsWatchLost(const Status& status) {
 
 Result<std::unique_ptr<WatchStream>> EncryptionClient::OpenWatch(
     const WatchFilter& filter, const std::vector<uint64_t>& resume_token) {
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
   SIMCLOUD_ASSIGN_OR_RETURN(
       uint64_t ticket,
-      pipelined->SubmitStream(EncodeWatchRequest(filter, resume_token)));
+      transport_->SubmitStream(EncodeWatchRequest(filter, resume_token)));
   // The ack answers the registration, but the delivery thread may win
   // the race and push resumed events onto the id first — stash those for
   // the stream's Next().
   std::deque<WatchFrame> early;
   for (;;) {
     Result<Bytes> frame_bytes =
-        pipelined->CollectStream(ticket, kWatchAckTimeoutMs);
+        transport_->CollectStream(ticket, kWatchAckTimeoutMs);
     if (!frame_bytes.ok()) {
-      pipelined->CloseStream(ticket);
+      transport_->CloseStream(ticket);
       return frame_bytes.status();
     }
     Result<WatchFrame> frame = DecodeWatchFrame(*frame_bytes);
     if (!frame.ok()) {
-      pipelined->CloseStream(ticket);
+      transport_->CloseStream(ticket);
       return frame.status();
     }
     if (frame->kind == WatchFrame::Kind::kAck) {
       auto stream = std::unique_ptr<WatchStream>(new WatchStream(
-          this, pipelined, ticket, frame->watch_id, frame->token));
+          this, transport_, ticket, frame->watch_id, frame->token));
       stream->early_ = std::move(early);
       return stream;
     }
@@ -857,8 +829,6 @@ Result<std::unique_ptr<CursorStream>> EncryptionClient::OpenRangeCursor(
   if (page_size == 0) {
     return Status::InvalidArgument("cursor page size must be > 0");
   }
-  SIMCLOUD_ASSIGN_OR_RETURN(net::PipelinedTransport * pipelined,
-                            PipelinedOrFail());
   Stopwatch op_watch;
   const int64_t tracked_before = costs_.distance_nanos +
                                  costs_.decryption_nanos +
@@ -874,8 +844,8 @@ Result<std::unique_ptr<CursorStream>> EncryptionClient::OpenRangeCursor(
   const Bytes request = EncodeRangeSearchCursorRequest(
       query_distances, sent_radius, page_size, /*start_offset=*/0);
   const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket, pipelined->Submit(request));
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, pipelined->Collect(ticket));
+  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket, transport_->Submit(request));
+  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Collect(ticket));
   const int64_t server_delta =
       transport_->costs().server_nanos - server_before;
   SIMCLOUD_ASSIGN_OR_RETURN(CursorPage first, DecodeCursorPage(response_bytes));
@@ -883,7 +853,7 @@ Result<std::unique_ptr<CursorStream>> EncryptionClient::OpenRangeCursor(
   // The first page's decryption + refinement happens in the first
   // Next(); the open accounts only distances and serialization.
   auto stream = std::unique_ptr<CursorStream>(new CursorStream(
-      this, pipelined, query, radius, std::move(first)));
+      this, transport_, query, radius, std::move(first)));
   const int64_t tracked_delta = costs_.distance_nanos +
                                 costs_.decryption_nanos +
                                 costs_.encryption_nanos - tracked_before;

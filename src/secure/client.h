@@ -132,7 +132,7 @@ class WatchStream {
 
  private:
   friend class EncryptionClient;
-  WatchStream(EncryptionClient* client, net::PipelinedTransport* transport,
+  WatchStream(EncryptionClient* client, net::Transport* transport,
               uint64_t ticket, uint64_t watch_id,
               std::vector<uint64_t> token)
       : client_(client), transport_(transport), ticket_(ticket),
@@ -142,7 +142,7 @@ class WatchStream {
   Result<WatchEvent> ToEvent(const WatchFrame& frame);
 
   EncryptionClient* client_;
-  net::PipelinedTransport* transport_;
+  net::Transport* transport_;
   uint64_t ticket_ = 0;
   uint64_t watch_id_ = 0;
   std::vector<uint64_t> token_;
@@ -196,14 +196,14 @@ class CursorStream {
 
  private:
   friend class EncryptionClient;
-  CursorStream(EncryptionClient* client, net::PipelinedTransport* transport,
+  CursorStream(EncryptionClient* client, net::Transport* transport,
                metric::VectorObject query, double radius, CursorPage first)
       : client_(client), transport_(transport), query_(std::move(query)),
         radius_(radius), cursor_id_(first.cursor_id), total_(first.total),
         first_page_(std::move(first)) {}
 
   EncryptionClient* client_;
-  net::PipelinedTransport* transport_;
+  net::Transport* transport_;
   metric::VectorObject query_;  ///< plaintext query for refinement
   double radius_ = 0;           ///< plaintext radius for refinement
   uint64_t cursor_id_ = 0;
@@ -261,8 +261,7 @@ class EncryptionClient {
   /// Paged precise range query: like RangeSearch, but the server keeps
   /// the ranked candidate snapshot and the client pulls `page_size`
   /// candidates per Next() — an unbounded result set never materializes
-  /// on either side. Requires a pipelined transport (cursors are
-  /// connection-scoped server state; legacy framing is refused). The
+  /// on either side. Cursors are connection-scoped server state; the
   /// returned stream borrows this client and its transport.
   Result<std::unique_ptr<CursorStream>> OpenRangeCursor(
       const metric::VectorObject& query, double radius, uint64_t page_size);
@@ -287,9 +286,8 @@ class EncryptionClient {
       size_t cand_size);
 
   // -------------------------------------------------------------------
-  // Pipelined submit/collect API. Requires a net::PipelinedTransport
-  // (TcpTransport or LoopbackTransport): several batches can be in
-  // flight on ONE connection at once, overlapping client-side
+  // Pipelined submit/collect API: several batches can be in flight on
+  // ONE connection at once, overlapping client-side
   // refinement, the wire, and the server — ShardedServer uses the same
   // mechanism to overlap its per-shard fan-out. Each Submit must be
   // resolved by exactly one matching Collect; batches pipelined
@@ -358,9 +356,7 @@ class EncryptionClient {
   /// Scrapes the server's metrics registry (per-opcode latency
   /// histograms, byte counters, cache/compaction/failover telemetry —
   /// see docs/observability.md). Against a ShardedServer the snapshot
-  /// is the bucket-correct merge of every shard registry. The server
-  /// refuses legacy (bit-31-clear) framing for this opcode; use a
-  /// pipelined transport.
+  /// is the bucket-correct merge of every shard registry.
   Result<obs::MetricsSnapshot> GetMetrics();
 
   /// Registers a live change stream scoped to the range query R(query,
@@ -400,9 +396,6 @@ class EncryptionClient {
   /// the distribution-hiding transform when enabled.
   std::vector<float> ComputePivotDistances(const metric::VectorObject& object,
                                            bool apply_transform);
-
-  /// The transport as a pipelined transport, or FailedPrecondition.
-  Result<net::PipelinedTransport*> PipelinedOrFail() const;
 
   /// Shared Watch/WatchAll body: submits the registration, waits for the
   /// ack (stashing pushes that outran it), builds the stream.

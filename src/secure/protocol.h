@@ -122,8 +122,8 @@ Bytes EncodePingRequest();
 /// the stream at the shard's current sequence (deliver the future only);
 /// a non-empty token resumes after the given per-shard sequences and is
 /// rejected with OutOfRange ("watch lost") when the replay ring no longer
-/// covers them. Requires the pipelined framing — a legacy connection gets
-/// a clean FailedPrecondition error.
+/// covers them. Requires a transport that can push — an in-process
+/// loopback call gets a clean FailedPrecondition error.
 Bytes EncodeWatchRequest(const WatchFilter& filter,
                          const std::vector<uint64_t>& resume_token);
 /// Tears down the subscription `watch_id` (from the ack frame). After
@@ -137,9 +137,8 @@ Result<WatchFrame> DecodeWatchFrame(const Bytes& data);
 
 /// Opens a server-side cursor over a precise range search: the server
 /// runs the same collect + rank pass as kRangeSearch, pins the ranked
-/// snapshot, and answers with the first page plus a cursor id. Requires
-/// the pipelined framing (like kWatch); legacy connections get a clean
-/// FailedPrecondition. `start_offset` skips that many ranked candidates
+/// snapshot, and answers with the first page plus a cursor id.
+/// `start_offset` skips that many ranked candidates
 /// before the first page — 0 for a fresh cursor; a sharded facade uses it
 /// to reopen a shard leg on a surviving replica after failover.
 Bytes EncodeRangeSearchCursorRequest(
@@ -242,9 +241,7 @@ Result<mindex::CompactionReport> DecodeCompactResponse(const Bytes& data);
 
 /// Observability scrape (kGetMetrics): an empty-bodied request — any
 /// trailing bytes are rejected, so a misframed opcode-16 frame can never
-/// leak a registry snapshot. Requires the pipelined framing on the wire
-/// (legacy connections get a clean FailedPrecondition; in-process calls
-/// are allowed). The response is the append-only metrics wire block of
+/// leak a registry snapshot. The response is the append-only metrics wire block of
 /// obs::EncodeMetricsSnapshot — a ShardedServer answers with the
 /// bucket-correct merge of its shards' snapshots.
 Bytes EncodeGetMetricsRequest();

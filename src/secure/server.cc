@@ -106,15 +106,13 @@ Result<Bytes> EncryptedMIndexServer::Handle(const Bytes& request_bytes) {
 
 Result<Bytes> EncryptedMIndexServer::HandleWatch(const Request& request,
                                                 net::StreamContext* stream) {
-  // Satellite: a legacy (bit-31-clear) connection or an in-process
-  // loopback call has no push path — refuse cleanly; the connection
-  // stays usable for every other opcode.
+  // An in-process loopback call has no push path — refuse cleanly.
   std::shared_ptr<net::PushSink> sink;
   if (stream != nullptr) sink = stream->MakeSink();
   if (sink == nullptr) {
     return Status::FailedPrecondition(
-        "kWatch needs a pipelined connection (server push is impossible "
-        "on legacy framing or loopback)");
+        "kWatch needs a connection that can push (server push is "
+        "impossible on loopback)");
   }
   if (request.watch_resume_token.size() > 1) {
     return Status::InvalidArgument(
@@ -149,15 +147,8 @@ Result<Bytes> EncryptedMIndexServer::HandleWatch(const Request& request,
 
 Result<Bytes> EncryptedMIndexServer::HandleRangeSearchCursor(
     const Request& request, net::StreamContext* stream) {
-  // Cursors are connection-scoped server state: legacy (bit-31-clear)
-  // framing is the stateless compat path and is refused cleanly (the
-  // connection stays usable). In-process calls (null stream) are allowed
-  // — they have no connection to drop, so the TTL is the only reaper.
-  if (stream != nullptr && !stream->pipelined()) {
-    return Status::FailedPrecondition(
-        "cursor opcodes need a pipelined connection (legacy framing is "
-        "stateless)");
-  }
+  // Cursors are connection-scoped server state. In-process calls (null
+  // stream) have no connection to drop, so the TTL is their only reaper.
   if (request.cursor_page_size == 0) {
     return Status::InvalidArgument("cursor page size must be > 0");
   }
@@ -199,12 +190,7 @@ Result<Bytes> EncryptedMIndexServer::HandleRangeSearchCursor(
 }
 
 Result<Bytes> EncryptedMIndexServer::HandleCursorNext(
-    const Request& request, net::StreamContext* stream) {
-  if (stream != nullptr && !stream->pipelined()) {
-    return Status::FailedPrecondition(
-        "cursor opcodes need a pipelined connection (legacy framing is "
-        "stateless)");
-  }
+    const Request& request) {
   SIMCLOUD_ASSIGN_OR_RETURN(std::shared_ptr<void> state,
                             cursors_.Acquire(request.cursor_id));
   auto cursor = std::static_pointer_cast<RangeCursor>(state);
@@ -394,22 +380,12 @@ Result<Bytes> EncryptedMIndexServer::HandleStream(const Bytes& request_bytes,
     case Op::kRangeSearchCursor:
       return HandleRangeSearchCursor(request, stream);
     case Op::kCursorNext:
-      return HandleCursorNext(request, stream);
+      return HandleCursorNext(request);
     case Op::kCursorClose:
       // Idempotent: closing an unknown / already-expired / already-closed
       // id answers 0, never an error — the client may race the TTL.
       return EncodeInsertResponse(cursors_.Close(request.cursor_id) ? 1 : 0);
     case Op::kGetMetrics:
-      // Registry counters are process-global; a snapshot is cheap but the
-      // response can grow without bound with the label set, so — like the
-      // cursor opcodes — the stateless legacy framing path is refused
-      // cleanly (the connection stays usable). In-process calls (null
-      // stream: loopback, ShardedServer fan-out) are always allowed.
-      if (stream != nullptr && !stream->pipelined()) {
-        return Status::FailedPrecondition(
-            "kGetMetrics needs a pipelined connection (legacy framing is "
-            "stateless)");
-      }
       return EncodeMetricsResponse(obs::Registry::Default().Snapshot());
   }
   return Status::Corruption("unhandled opcode");

@@ -55,7 +55,7 @@ class EncryptedMIndexServer : public net::RequestHandler {
 
   /// Streaming entry point: kWatch registers a change-stream subscription
   /// pushing frames through `stream` (FailedPrecondition when the
-  /// transport cannot push — legacy framing, loopback); every other
+  /// transport cannot push — loopback); every other
   /// opcode behaves exactly like Handle().
   Result<Bytes> HandleStream(const Bytes& request,
                              net::StreamContext* stream) override;
@@ -112,8 +112,7 @@ class EncryptedMIndexServer : public net::RequestHandler {
 
   Result<Bytes> HandleRangeSearchCursor(const Request& request,
                                         net::StreamContext* stream);
-  Result<Bytes> HandleCursorNext(const Request& request,
-                                 net::StreamContext* stream);
+  Result<Bytes> HandleCursorNext(const Request& request);
 
   std::unique_ptr<mindex::MIndex> index_;
   /// Readers-writer lock over the index: searches run concurrently,

@@ -638,7 +638,7 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
     case Op::kRangeSearchCursor:
       return HandleRangeSearchCursor(request, stream);
     case Op::kCursorNext:
-      return HandleCursorNext(request, stream);
+      return HandleCursorNext(request);
     case Op::kCursorClose: {
       // Idempotent: take the composite state (if any), tear its shard
       // legs down inline (worker thread — shard I/O is fine here), ack
@@ -649,13 +649,6 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
       return EncodeInsertResponse(1);
     }
     case Op::kGetMetrics: {
-      // Same legacy-framing refusal as the shard handler (cheap probe
-      // loops must opt into the unbounded response via pipelining).
-      if (stream != nullptr && !stream->pipelined()) {
-        return Status::FailedPrecondition(
-            "kGetMetrics needs a pipelined connection (legacy framing is "
-            "stateless)");
-      }
       // The merge covers the SHARD registries only — the facade's own
       // registry is excluded so the aggregate equals the sum of the
       // per-shard scrapes exactly (histograms merge bucket-by-bucket on
@@ -894,8 +887,8 @@ Result<Bytes> ShardedServer::HandleWatch(const Request& request,
   if (stream != nullptr) sink = stream->MakeSink();
   if (sink == nullptr) {
     return Status::FailedPrecondition(
-        "kWatch needs a pipelined connection (server push is impossible "
-        "on legacy framing or loopback)");
+        "kWatch needs a connection that can push (server push is "
+        "impossible on loopback)");
   }
   const size_t shard_count = channels_.size();
   if (!request.watch_resume_token.empty() &&
@@ -1154,13 +1147,8 @@ void ShardedServer::CloseCursorLegs(
 
 Result<Bytes> ShardedServer::HandleRangeSearchCursor(
     const Request& request, net::StreamContext* stream) {
-  // Same taxonomy as the single server: legacy framing is the stateless
-  // compat path; in-process calls (null stream) rely on the TTL reaper.
-  if (stream != nullptr && !stream->pipelined()) {
-    return Status::FailedPrecondition(
-        "cursor opcodes need a pipelined connection (legacy framing is "
-        "stateless)");
-  }
+  // Same taxonomy as the single server: in-process calls (null stream)
+  // rely on the TTL reaper.
   if (request.cursor_page_size == 0) {
     return Status::InvalidArgument("cursor page size must be > 0");
   }
@@ -1229,13 +1217,7 @@ Result<Bytes> ShardedServer::HandleRangeSearchCursor(
   return EncodeCursorPage(page);
 }
 
-Result<Bytes> ShardedServer::HandleCursorNext(const Request& request,
-                                              net::StreamContext* stream) {
-  if (stream != nullptr && !stream->pipelined()) {
-    return Status::FailedPrecondition(
-        "cursor opcodes need a pipelined connection (legacy framing is "
-        "stateless)");
-  }
+Result<Bytes> ShardedServer::HandleCursorNext(const Request& request) {
   SIMCLOUD_ASSIGN_OR_RETURN(std::shared_ptr<void> state,
                             cursors_.Acquire(request.cursor_id));
   auto cursor = std::static_pointer_cast<CompositeCursor>(state);

@@ -280,8 +280,7 @@ class ShardedServer : public net::RequestHandler {
 
   Result<Bytes> HandleRangeSearchCursor(const Request& request,
                                         net::StreamContext* stream);
-  Result<Bytes> HandleCursorNext(const Request& request,
-                                 net::StreamContext* stream);
+  Result<Bytes> HandleCursorNext(const Request& request);
   /// Opens (or failover-reopens, start_offset > 0) shard `shard`'s leg.
   /// Remote mode pins a live replica (kUp first, then kDegraded) exactly
   /// like watch legs; a remote REJECTION (the shard answered an error)

@@ -87,6 +87,11 @@ TEST(AuthTest, TamperedRequestBodyIsRejected) {
       captured = request;
       return Bytes{};
     }
+    Result<uint64_t> Submit(const Bytes& request) override {
+      captured = request;
+      return 1;
+    }
+    Result<Bytes> Collect(uint64_t) override { return Bytes{}; }
     const net::TransportCosts& costs() const override { return costs_; }
     void ResetCosts() override {}
     Bytes captured;
@@ -116,6 +121,13 @@ TEST(AuthTest, ReplayedRequestIsRejected) {
     Result<Bytes> Call(const Bytes& request) override {
       captured = request;
       return handler_->Handle(request);
+    }
+    Result<uint64_t> Submit(const Bytes& request) override {
+      captured = request;
+      return 1;
+    }
+    Result<Bytes> Collect(uint64_t) override {
+      return handler_->Handle(captured);
     }
     const net::TransportCosts& costs() const override { return costs_; }
     void ResetCosts() override {}
@@ -245,7 +257,7 @@ TEST(AuthTest, PipelinedRequestsComposeWithRequestIdFrames) {
   EXPECT_EQ(echo.calls(), static_cast<uint64_t>(kInFlight));
   EXPECT_EQ(handler.rejected_count(), 0u);
 
-  // Synchronous legacy Calls still interleave with pipelined traffic.
+  // Synchronous Calls still interleave with pipelined traffic.
   auto first = transport.Submit(Bytes{1, 2, 3});
   ASSERT_TRUE(first.ok());
   auto called = transport.Call(Bytes{9, 9});
@@ -264,34 +276,6 @@ TEST(AuthTest, PipelinedRequestsComposeWithRequestIdFrames) {
   EXPECT_GE(handler.rejected_count(), 1u);
   EXPECT_TRUE(transport.Call(Bytes{4}).ok());
   server.Stop();
-}
-
-TEST(AuthTest, SubmitOnNonPipelinedInnerFailsCleanly) {
-  /// A Transport that is NOT pipelined.
-  class CallOnlyTransport : public net::Transport {
-   public:
-    explicit CallOnlyTransport(net::RequestHandler* handler)
-        : handler_(handler) {}
-    Result<Bytes> Call(const Bytes& request) override {
-      return handler_->Handle(request);
-    }
-    const net::TransportCosts& costs() const override { return costs_; }
-    void ResetCosts() override { costs_.Clear(); }
-
-   private:
-    net::RequestHandler* handler_;
-    net::TransportCosts costs_;
-  };
-
-  EchoHandler echo;
-  const Bytes mac_key(32, 0x4F);
-  AuthenticatingHandler handler(mac_key, &echo);
-  CallOnlyTransport inner(&handler);
-  AuthenticatingTransport transport(mac_key, &inner);
-  auto ticket = transport.Submit(Bytes{1});
-  ASSERT_FALSE(ticket.ok());
-  EXPECT_EQ(ticket.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(transport.Call(Bytes{1}).ok());  // Call still works
 }
 
 }  // namespace

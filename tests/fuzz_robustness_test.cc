@@ -144,19 +144,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeedTest,
 // Live-server frame fuzzing.
 // ---------------------------------------------------------------------------
 
-/// True when the server closed its side of `fd` within ~5 seconds.
-bool WaitForSocketClose(int fd) {
-  Stopwatch watch;
-  uint8_t sink[256];
-  while (watch.ElapsedSeconds() < 5.0) {
-    const ssize_t n = ::recv(fd, sink, sizeof(sink), MSG_DONTWAIT);
-    if (n == 0) return true;                       // clean close
-    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return true;
-    if (n < 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return false;
-}
-
 /// A real encrypted M-Index server behind a real TcpServer, plus one
 /// well-behaved probe that must keep getting correct answers no matter
 /// what the hostile connections do.
@@ -192,7 +179,7 @@ class TcpFrameFuzz : public ::testing::Test {
     ASSERT_TRUE(stats.ok());
   }
 
-  static bool WaitForClose(int fd) { return WaitForSocketClose(fd); }
+  static bool WaitForClose(int fd) { return net::WaitForSocketClose(fd); }
 
   std::unique_ptr<secure::EncryptedMIndexServer> handler_;
   std::unique_ptr<net::TcpServer> server_;
@@ -408,7 +395,7 @@ TEST_F(TcpFrameFuzz, WatchersVanishingMidPushDoNotWedgeTheHub) {
 
 // --------------------------------------------------------------------------
 // Cursor opcodes under hostility: garbage / stale / replayed cursor ids,
-// torn cursor frames, and cursor requests over legacy framing.
+// torn cursor frames, and cursor requests through Call.
 // --------------------------------------------------------------------------
 
 namespace {
@@ -574,76 +561,37 @@ TEST_F(TcpFrameFuzz, TornCursorFramesDoNotWedgeOrLeakCursors) {
   ExpectServerAlive();
 }
 
-TEST_F(TcpFrameFuzz, CursorOpcodesOverLegacyFramingFailCleanly) {
+TEST_F(TcpFrameFuzz, CursorAndMetricsOpcodesSucceedThroughCall) {
+  // Call carries a request id like every frame, so the connection-scoped
+  // cursor opcodes and the kGetMetrics scrape work through it.
   SeedCursorObjects(handler_.get(), 8);
-  const int fd = RawConnect();
-  auto legacy_round_trip = [&](const Bytes& request) {
-    EXPECT_TRUE(net::WriteFrame(fd, request).ok());
-    auto body = net::ReadFrame(fd);
-    EXPECT_TRUE(body.ok()) << body.status().ToString();
-    return ParseResponseBody(*body);
-  };
+  auto transport = net::TcpTransport::Connect("127.0.0.1", server_->port());
+  ASSERT_TRUE(transport.ok());
+  auto opened = (*transport)->Call(CursorOpenRequest(/*page_size=*/2));
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  auto first = secure::DecodeCursorPage(*opened);
+  ASSERT_TRUE(first.ok());
+  ASSERT_NE(first->cursor_id, 0u);
+  EXPECT_EQ(first->total, 8u);
+  EXPECT_EQ(first->candidates.size(), 2u);
 
-  // Stateful cursor opcodes over legacy (bit-31-clear) framing: a clean
-  // refusal naming the requirement — the connection is NOT closed.
-  ParsedBody open = legacy_round_trip(CursorOpenRequest(/*page_size=*/2));
-  EXPECT_FALSE(open.ok);
-  EXPECT_NE(open.error.find("pipelined"), std::string::npos) << open.error;
-  ParsedBody next = legacy_round_trip(secure::EncodeCursorNextRequest(1));
-  EXPECT_FALSE(next.ok);
-  EXPECT_NE(next.error.find("pipelined"), std::string::npos) << next.error;
-  // kCursorClose is stateless and idempotent: it answers a 0-ack even
-  // here (there is nothing to leak by answering).
-  ParsedBody close_ack =
-      legacy_round_trip(secure::EncodeCursorCloseRequest(12345));
-  EXPECT_TRUE(close_ack.ok) << close_ack.error;
+  auto next =
+      (*transport)->Call(secure::EncodeCursorNextRequest(first->cursor_id));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  auto second = secure::DecodeCursorPage(*next);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->candidates.size(), 2u);
 
-  // The SAME connection still serves ordinary legacy traffic.
-  ParsedBody stats = legacy_round_trip(secure::EncodeGetStatsRequest());
-  EXPECT_TRUE(stats.ok) << stats.error;
-  EXPECT_TRUE(secure::DecodeStatsResponse(stats.payload).ok());
+  auto closed =
+      (*transport)->Call(secure::EncodeCursorCloseRequest(first->cursor_id));
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  EXPECT_EQ(secure::DecodeInsertResponse(*closed).value(), 1u);
   EXPECT_EQ(handler_->cursors().counters().open, 0u);
-  ::close(fd);
-  ExpectServerAlive();
-}
 
-TEST_F(TcpFrameFuzz, GetMetricsOverLegacyFramingFailsCleanly) {
-  const int fd = RawConnect();
-  auto legacy_round_trip = [&](const Bytes& request) {
-    EXPECT_TRUE(net::WriteFrame(fd, request).ok());
-    auto body = net::ReadFrame(fd);
-    EXPECT_TRUE(body.ok()) << body.status().ToString();
-    return ParseResponseBody(*body);
-  };
-
-  // kGetMetrics over legacy (bit-31-clear) framing: a clean refusal
-  // naming the requirement, no registry snapshot in the response, and
-  // the connection is NOT closed.
-  ParsedBody refused = legacy_round_trip(secure::EncodeGetMetricsRequest());
-  EXPECT_FALSE(refused.ok);
-  EXPECT_NE(refused.error.find("pipelined"), std::string::npos)
-      << refused.error;
-  EXPECT_TRUE(refused.payload.empty());
-
-  // The SAME connection still serves ordinary legacy traffic.
-  ParsedBody stats = legacy_round_trip(secure::EncodeGetStatsRequest());
-  EXPECT_TRUE(stats.ok) << stats.error;
-  EXPECT_TRUE(secure::DecodeStatsResponse(stats.payload).ok());
-  ::close(fd);
-
-  // Over pipelined framing the same request answers a decodable
-  // snapshot on a raw socket.
-  const int piped = net::RawConnect(server_->port());
-  ASSERT_TRUE(
-      net::WritePipelinedFrame(piped, 3, secure::EncodeGetMetricsRequest())
-          .ok());
-  auto response = net::ReadAnyFrame(piped);
-  ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_EQ(response->request_id, 3u);
-  ParsedBody scraped = ParseResponseBody(response->payload);
-  ASSERT_TRUE(scraped.ok) << scraped.error;
-  EXPECT_TRUE(secure::DecodeMetricsResponse(scraped.payload).ok());
-  ::close(piped);
+  auto metrics = (*transport)->Call(secure::EncodeGetMetricsRequest());
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  EXPECT_TRUE(secure::DecodeMetricsResponse(*metrics).ok());
+  EXPECT_TRUE((*transport)->stream_status().ok());
   ExpectServerAlive();
 }
 
@@ -751,7 +699,7 @@ class SecureTcpFrameFuzz : public ::testing::Test {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
   }
 
-  static bool WaitForClose(int fd) { return WaitForSocketClose(fd); }
+  static bool WaitForClose(int fd) { return net::WaitForSocketClose(fd); }
 
   std::unique_ptr<secure::EncryptedMIndexServer> handler_;
   std::unique_ptr<net::TcpServer> server_;
@@ -786,9 +734,14 @@ TEST_F(SecureTcpFrameFuzz, PlaintextProtocolFramesAreHardClosed) {
   // attempt. The server must close without answering.
   const Bytes request = secure::EncodeGetStatsRequest();
   {
+    // A bit-31-clear header (the retired id-less framing), as raw bytes.
     const int fd = RawConnect();
-    ASSERT_TRUE(net::WriteFrame(fd, request).ok());
-    EXPECT_TRUE(WaitForClose(fd)) << "secure server served a legacy frame";
+    BinaryWriter frame;
+    frame.WriteU32(static_cast<uint32_t>(request.size()));
+    frame.WriteRaw(request.data(), request.size());
+    ASSERT_EQ(::send(fd, frame.buffer().data(), frame.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(frame.size()));
+    EXPECT_TRUE(WaitForClose(fd)) << "secure server served an id-less frame";
     ::close(fd);
   }
   {

@@ -272,7 +272,7 @@ TEST(PipelineTest, TcpPipelineDeeperThanServerInFlightCap) {
   server.Stop();
 }
 
-TEST(PipelineTest, LegacyCallsInterleaveWithPipelinedTraffic) {
+TEST(PipelineTest, CallsInterleaveWithPipelinedTraffic) {
   EchoHandler handler;
   TcpServer server(&handler);
   ASSERT_TRUE(server.Start(0).ok());
@@ -281,7 +281,7 @@ TEST(PipelineTest, LegacyCallsInterleaveWithPipelinedTraffic) {
 
   auto first = (*transport)->Submit(Bytes{1, 1, 1});
   ASSERT_TRUE(first.ok());
-  auto called = (*transport)->Call(Bytes{7, 7});  // legacy frame, id 0
+  auto called = (*transport)->Call(Bytes{7, 7});
   ASSERT_TRUE(called.ok());
   EXPECT_EQ(*called, (Bytes{7, 7}));
   auto second = (*transport)->Submit(Bytes{2, 2});
@@ -295,50 +295,96 @@ TEST(PipelineTest, LegacyCallsInterleaveWithPipelinedTraffic) {
   server.Stop();
 }
 
-TEST(TcpTest, LegacyWireFormatIsByteStable) {
-  // A pre-pipelining client speaks raw frames: u32 LE length + body, and
-  // expects u32 LE length + (u64 nanos, u8 ok, payload) back, in order.
+TEST(TcpTest, CallWireFormatIsByteStable) {
+  // A Call is one frame: u32 LE (body length | bit 31), u32 LE request id,
+  // body. Its response echoes the id, and its body is u64 LE server nanos,
+  // u8 ok flag, payload.
+  const Bytes body = {42, 43, 44, 45, 46};
+  const Bytes request_frame = {5, 0, 0, 0x80, 1, 0, 0, 0,
+                               42, 43, 44, 45, 46};
+
+  // Client side: a raw listener records what Call writes and answers a
+  // hand-built response frame.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  Bytes captured(request_frame.size());
+  std::thread peer([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::recv(fd, captured.data(), captured.size(), MSG_WAITALL),
+              static_cast<ssize_t>(captured.size()));
+    const Bytes response_frame = {11, 0, 0, 0x80, 1, 0, 0, 0, 7, 0, 0, 0,
+                                  0, 0, 0, 0, 1, 9, 9};
+    ASSERT_EQ(::send(fd, response_frame.data(), response_frame.size(), 0),
+              static_cast<ssize_t>(response_frame.size()));
+    ::close(fd);
+  });
+  {
+    auto transport = TcpTransport::Connect("127.0.0.1", ntohs(addr.sin_port));
+    ASSERT_TRUE(transport.ok());
+    auto response = (*transport)->Call(body);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(*response, (Bytes{9, 9}));
+    EXPECT_EQ((*transport)->costs().server_nanos, 7);
+  }
+  peer.join();
+  ::close(listener);
+  EXPECT_EQ(captured, request_frame);
+
+  // Server side: the same frame sent raw gets the exact response frame
+  // back (the 8 server-nanos bytes vary), and a bit-31-clear header — the
+  // retired id-less framing — closes the plaintext connection.
   EchoHandler handler;
   TcpServer server(&handler);
   ASSERT_TRUE(server.Start(0).ok());
   const int fd = RawConnect(server.port());
+  ASSERT_EQ(::send(fd, request_frame.data(), request_frame.size(), 0),
+            static_cast<ssize_t>(request_frame.size()));
+  Bytes response(8 + 8 + 1 + body.size());
+  ASSERT_EQ(::recv(fd, response.data(), response.size(), MSG_WAITALL),
+            static_cast<ssize_t>(response.size()));
+  EXPECT_EQ(Bytes(response.begin(), response.begin() + 8),
+            (Bytes{14, 0, 0, 0x80, 1, 0, 0, 0}));
+  EXPECT_EQ(response[16], 1) << "ok flag";
+  EXPECT_EQ(Bytes(response.begin() + 17, response.end()), body);
 
-  const Bytes body = {42, 43, 44, 45, 46};
-  for (int round = 0; round < 3; ++round) {
-    uint8_t header[4] = {static_cast<uint8_t>(body.size()), 0, 0, 0};
-    ASSERT_EQ(::send(fd, header, 4, 0), 4);
-    ASSERT_EQ(::send(fd, body.data(), body.size(), 0),
-              static_cast<ssize_t>(body.size()));
-
-    auto frame = ReadAnyFrame(fd);
-    ASSERT_TRUE(frame.ok());
-    EXPECT_EQ(frame->request_id, 0u) << "legacy request must get a legacy "
-                                        "(unflagged) response frame";
-    EXPECT_EQ(ResponsePayloadOf(frame->payload), body);
-  }
+  const Bytes idless_frame = {5, 0, 0, 0, 42, 43, 44, 45, 46};
+  ASSERT_EQ(::send(fd, idless_frame.data(), idless_frame.size(), 0),
+            static_cast<ssize_t>(idless_frame.size()));
+  EXPECT_TRUE(WaitForSocketClose(fd));
   ::close(fd);
+  EXPECT_EQ(handler.handled(), 1);
   server.Stop();
 }
 
 TEST(TcpTest, DribbledFramesAreReassembled) {
-  // A frame arriving one byte at a time (torn across arbitrarily many
-  // reads) must be reassembled, for both framings.
+  // Frames arriving one byte at a time (torn across arbitrarily many
+  // reads) must be reassembled.
   EchoHandler handler;
   TcpServer server(&handler);
   ASSERT_TRUE(server.Start(0).ok());
   const int fd = RawConnect(server.port());
 
   const Bytes body = {9, 8, 7, 6};
-  Bytes legacy_frame = {4, 0, 0, 0, 9, 8, 7, 6};
-  Bytes pipelined_frame = {4, 0, 0, 0x80, 0x2A, 0, 0, 0, 9, 8, 7, 6};
-  for (const Bytes* frame : {&legacy_frame, &pipelined_frame}) {
-    for (uint8_t byte : *frame) {
+  for (uint8_t id : {0x2A, 0x2B}) {
+    const Bytes frame = {4, 0, 0, 0x80, id, 0, 0, 0, 9, 8, 7, 6};
+    for (uint8_t byte : frame) {
       ASSERT_EQ(::send(fd, &byte, 1, 0), 1);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     auto response = ReadAnyFrame(fd);
     ASSERT_TRUE(response.ok());
-    EXPECT_EQ(response->request_id, frame == &legacy_frame ? 0u : 0x2Au);
+    EXPECT_EQ(response->request_id, id);
     EXPECT_EQ(ResponsePayloadOf(response->payload), body);
   }
   ::close(fd);

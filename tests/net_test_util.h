@@ -11,7 +11,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <chrono>
+#include <thread>
+
 #include "common/bytes.h"
+#include "common/clock.h"
 #include "common/serialize.h"
 
 namespace simcloud {
@@ -28,6 +33,19 @@ inline int RawConnect(uint16_t port) {
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
   return fd;
+}
+
+/// True when the server closed its side of `fd` within ~5 seconds.
+inline bool WaitForSocketClose(int fd) {
+  Stopwatch watch;
+  uint8_t sink[256];
+  while (watch.ElapsedSeconds() < 5.0) {
+    const ssize_t n = ::recv(fd, sink, sizeof(sink), MSG_DONTWAIT);
+    if (n == 0) return true;  // clean close
+    if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK) return true;
+    if (n < 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  return false;
 }
 
 /// Splits a response body (u64 server nanos, bool ok, payload / error)

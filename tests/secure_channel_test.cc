@@ -244,7 +244,7 @@ TEST(SecureHandshakeTest, ReplayedTranscriptFailsAgainstFreshServer) {
 
 TEST(SecureHandshakeTest, NonHandshakeBytesAreHardRejected) {
   for (const Bytes& garbage :
-       {Bytes{0x05, 0x00, 0x00, 0x00, 4},        // legacy plaintext frame
+       {Bytes{0x05, 0x00, 0x00, 0x00, 4},        // id-less plaintext frame
         Bytes{0x05, 0x00, 0x00, 0x80, 1, 0, 0},  // pipelined plaintext frame
         Bytes{'G', 'E', 'T', ' ', '/'},          // something else entirely
         Bytes{0xFF}}) {                          // even one wrong byte
@@ -835,7 +835,7 @@ TEST(DowngradeTest, PlaintextClientAgainstSecureServerIsClosed) {
   EXPECT_FALSE(response.ok());
   EXPECT_EQ(handler.handled(), 0);
 
-  // A raw legacy frame (the pre-pipelining wire): same hard close.
+  // A raw bit-31-clear frame (the retired id-less framing): same close.
   const int fd = RawConnect(server.port());
   const uint8_t legacy[] = {3, 0, 0, 0, 9, 9, 9};
   ASSERT_EQ(::send(fd, legacy, sizeof(legacy), MSG_NOSIGNAL),
@@ -1073,9 +1073,8 @@ TEST(SniffTest, MebibyteRequestAndResponseFlowAs64KiBRecords) {
   auto ceil_records = [](size_t bytes) {
     return (bytes + kRecordSlice - 1) / kRecordSlice;
   };
-  // Call sends a legacy frame: u32 header + payload. Response frame:
-  // header + u64 server time + ok flag + payload. (The record counts
-  // below allow for the 8-byte pipelined header too.)
+  // Call sends one frame: 8-byte header + payload. Response frame:
+  // header + u64 server time + ok flag + payload.
   const std::vector<size_t> up =
       RecordPlaintextSizes(c2s, kClientHelloSize + kClientFinishSize);
   const std::vector<size_t> down = RecordPlaintextSizes(s2c, kServerHelloSize);
@@ -1090,8 +1089,8 @@ TEST(SniffTest, MebibyteRequestAndResponseFlowAs64KiBRecords) {
     for (size_t size : sizes) total += size;
     return total;
   };
-  EXPECT_EQ(sum(up), 4 + request.size());
-  EXPECT_EQ(sum(down), 4 + 8 + 1 + request.size());
+  EXPECT_EQ(sum(up), 8 + request.size());
+  EXPECT_EQ(sum(down), 8 + 8 + 1 + request.size());
   server.Stop();
 }
 

@@ -1,6 +1,6 @@
 // End-to-end tests for live change streams (kWatch): ordered delivery
 // against an in-memory oracle, resume tokens across reconnects, replay
-// ring overflow, cancellation, legacy-framing rejection, slow-watcher
+// ring overflow, cancellation, a watch registered through Call, slow-watcher
 // backpressure isolation, range-filtered watches, and composite tokens
 // over a sharded facade.
 //
@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "net/tcp.h"
@@ -344,30 +345,49 @@ TEST(WatchTest, CancelStopsDeliveryAndLeavesConnectionUsable) {
   cluster.server->Stop();
 }
 
-TEST(WatchTest, LegacyFramingGetsCleanErrorAndStaysUsable) {
+TEST(WatchTest, WatchRegisteredThroughCallIsDroppedAndReaped) {
   const std::vector<VectorObject> objects = MakeObjects(40, 1405);
   Cluster cluster = StartCluster(objects, /*num_shards=*/1);
 
   auto transport = cluster.Connect();
   ASSERT_TRUE(transport.ok());
 
-  // Call() speaks the legacy (bit-31-clear, id 0) framing: the server
-  // cannot push on it, so kWatch must answer a clean error frame.
+  // A raw Call of kWatch registers a watch (every frame carries an id the
+  // server can push on) and returns its ack; Call is then done with the
+  // id, so the watch's pushes arrive on an id nobody waits on.
   auto answered = (*transport)->Call(EncodeWatchRequest(WatchFilter{}, {}));
-  ASSERT_FALSE(answered.ok());
-  EXPECT_NE(answered.status().message().find("kWatch needs"),
-            std::string::npos)
-      << answered.status().ToString();
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  auto ack = DecodeWatchFrame(*answered);
+  ASSERT_TRUE(ack.ok());
+  EXPECT_EQ(ack->kind, WatchFrame::Kind::kAck);
+  EXPECT_EQ(cluster.single->watch_hub()->active(), 1u);
 
-  // ...and the connection is not poisoned: legacy and pipelined traffic
-  // both keep working on it.
+  // The transport drops and counts those pushes instead of treating them
+  // as a protocol violation: the same connection keeps working.
   EncryptionClient client(*cluster.key, cluster.metric, transport->get());
   ASSERT_TRUE(client.Ping().ok());
   ASSERT_TRUE(client.InsertBulk(objects, InsertStrategy::kPrecise, 40).ok());
+  Stopwatch watch;
+  while ((*transport)->stray_frames_dropped() < objects.size() &&
+         watch.ElapsedSeconds() < 10) {
+    ASSERT_TRUE(client.Ping().ok());
+  }
+  EXPECT_EQ((*transport)->stray_frames_dropped(), objects.size());
   auto stream = client.WatchAll();
   ASSERT_TRUE(stream.ok());
   EXPECT_TRUE((*stream)->Cancel().ok());
   stream->reset();
+  EXPECT_TRUE((*transport)->stream_status().ok());
+
+  // Closing the connection reaps the stray watch server-side.
+  EXPECT_EQ(cluster.single->watch_hub()->active(), 1u);
+  transport->reset();
+  watch.Reset();
+  while (cluster.single->watch_hub()->active() > 0 &&
+         watch.ElapsedSeconds() < 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(cluster.single->watch_hub()->active(), 0u);
   cluster.server->Stop();
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Scrape a simcloud server's metrics registry as Prometheus text.
 
-Speaks the plaintext pipelined framing directly (kGetMetrics refuses
-legacy framing), decodes the append-only metrics block, and prints the
+Speaks the plaintext request-id framing directly, decodes the
+append-only metrics block, and prints the
 same exposition format ``MetricsSnapshot::ToPrometheusText`` produces —
 so a textfile-collector cron line is all it takes to feed a cluster
 started by ``tools/run_replicas.py`` into Prometheus.
@@ -93,7 +93,7 @@ def call_get_metrics(host: str, port: int, timeout_s: float) -> bytes:
         sock.sendall(frame)
         (raw,) = struct.unpack("<I", recv_exact(sock, 4))
         if not raw & FRAME_ID_FLAG:
-            raise ValueError("server answered with legacy framing")
+            raise ValueError("server answered a frame without a request id")
         recv_exact(sock, 4)  # request id (always 1 here)
         payload = recv_exact(sock, raw & ~FRAME_ID_FLAG)
     reader = Reader(payload)
