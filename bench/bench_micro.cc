@@ -1,6 +1,7 @@
 // Component microbenchmarks (google-benchmark): the primitive costs the
 // paper's cost model is built from — AES encryption/decryption, SHA-256,
-// distance functions, pivot-permutation computation, and serialization.
+// distance functions, batched pivot distances, pivot-permutation
+// computation, and serialization.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "data/synthetic.h"
 #include "metric/distance.h"
 #include "mindex/permutation.h"
+#include "mindex/pivot_set.h"
 
 namespace simcloud {
 namespace {
@@ -87,6 +89,21 @@ void BM_CophirDistance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CophirDistance);
+
+// One object's pivot work on the client (Alg. 1 and 2): 100 CoPhIR
+// pivots, 280-d, in one batched DistanceMany call.
+void BM_PivotDistancesCophir(benchmark::State& state) {
+  const metric::Dataset dataset = data::MakeCophirLike(200, 9);
+  const mindex::PivotSet pivots =
+      mindex::PivotSet::SelectRandom(dataset.objects(), 100, 10).value();
+  const metric::VectorObject& object = dataset.objects()[0];
+  for (auto _ : state) {
+    auto distances = pivots.ComputeDistances(object, *dataset.distance());
+    benchmark::DoNotOptimize(distances);
+  }
+  state.SetItemsProcessed(state.iterations() * pivots.size());
+}
+BENCHMARK(BM_PivotDistancesCophir);
 
 void BM_PivotPermutation(benchmark::State& state) {
   Rng rng(7);

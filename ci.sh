@@ -124,6 +124,25 @@ if grep -rnE 'io_uring|SIMCLOUD_IO_ENGINE|PipelinedTransport' src/; then
   exit 1
 fi
 
+echo "=== lint: the AVX2 distance kernel includes no library header ==="
+# distance_avx2.cc is built with -mavx2. An inline function from any other
+# header compiled there may be the copy the linker keeps for every caller,
+# which then faults (SIGILL) on a CPU without AVX2.
+if grep -nE '^[[:space:]]*#[[:space:]]*include' src/metric/distance_avx2.cc |
+   grep -vE '<(immintrin\.h|cstddef|cstdint)>'; then
+  echo "FAIL: distance_avx2.cc may include only <immintrin.h>, <cstddef>" \
+       "and <cstdint>" >&2
+  exit 1
+fi
+
+echo "=== lint: no per-call atomic counter in src/metric/ ==="
+# Distance accounting is one registry add per Distance or DistanceMany
+# call (obs/); a fetch_add here is a per-evaluation counter coming back.
+if grep -rn 'fetch_add' src/metric/; then
+  echo "FAIL: src/metric/ counts evaluations with an atomic of its own" >&2
+  exit 1
+fi
+
 echo "=== configure + build ==="
 cmake -B build -S .
 cmake --build build -j "$(nproc)"

@@ -49,7 +49,8 @@ class AeadCipher {
   ///
   /// Key hygiene: the raw MAC key is wiped inside Create — the cipher
   /// retains only the precomputed HMAC states (in-object arrays, no
-  /// heap-resident key bytes to leak on copy/move/destruction).
+  /// heap-resident key bytes to leak on copy/move), which
+  /// ~HmacSha256State wipes.
   static Result<AeadCipher> Create(const Bytes& master_key);
 
   /// Encrypts and authenticates `plaintext`, binding `associated_data`

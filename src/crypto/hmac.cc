@@ -34,6 +34,11 @@ HmacSha256State::HmacSha256State(const Bytes& key) {
   WipeBytes(&opad);
 }
 
+HmacSha256State::~HmacSha256State() {
+  inner_.Wipe();
+  outer_.Wipe();
+}
+
 Bytes HmacSha256State::Mac(const Bytes& message) const {
   Stream stream = NewStream();
   stream.Update(message);

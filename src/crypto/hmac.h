@@ -28,6 +28,11 @@ Bytes HmacSha256(const Bytes& key, const Bytes& message);
 class HmacSha256State {
  public:
   explicit HmacSha256State(const Bytes& key);
+  /// Key hygiene: the ipad/opad states stand in for the key (they are
+  /// enough to forge tags), so they are wiped on destruction.
+  ~HmacSha256State();
+  HmacSha256State(const HmacSha256State&) = default;
+  HmacSha256State& operator=(const HmacSha256State&) = default;
 
   /// HMAC-SHA256(key, message) under the precomputed schedule.
   Bytes Mac(const Bytes& message) const;

@@ -38,6 +38,11 @@ void Sha256::Reset() {
   total_len_ = 0;
 }
 
+void Sha256::Wipe() {
+  volatile uint8_t* p = reinterpret_cast<volatile uint8_t*>(this);
+  for (size_t i = 0; i < sizeof(*this); ++i) p[i] = 0;
+}
+
 void ScalarSha256Blocks(uint32_t h_state[8], const uint8_t* data,
                         size_t blocks) {
   for (size_t blk = 0; blk < blocks; ++blk, data += Sha256::kBlockSize) {

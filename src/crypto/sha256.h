@@ -30,6 +30,10 @@ class Sha256 {
   /// before reuse.
   std::array<uint8_t, kDigestSize> Finish();
 
+  /// Zeroes the whole state (chaining values and buffered input) through
+  /// volatile stores, for states derived from a key; Reset() before reuse.
+  void Wipe();
+
   /// One-shot convenience digest.
   static Bytes Hash(const Bytes& data);
 

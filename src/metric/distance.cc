@@ -12,12 +12,62 @@ namespace metric {
 
 namespace internal {
 
-void RecordDistanceEvaluation() {
+void RecordDistanceEvaluations(uint64_t n) {
   static obs::Counter* const counter = obs::Registry::Default().GetCounter(
       "simcloud_distance_computations_total");
-  counter->Add(1);
+  counter->Add(n);
   obs::TraceSpan* span = obs::TraceSpan::Current();
-  if (span != nullptr) span->AddDistanceComputations(1);
+  if (span != nullptr) span->AddDistanceComputations(n);
+}
+
+namespace {
+
+// The fixed summation order of the floating-point policy (distance.h):
+// term i into lane i mod 8, the tail into lanes 0..r-1, then a pairwise
+// reduction. distance_avx2.cc computes the same order in two registers.
+template <typename Term>
+double LaneSum(const float* x, const float* y, size_t n, Term term) {
+  double lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (size_t l = 0; l < 8; ++l) {
+      lane[l] += term(static_cast<double>(x[i + l]) -
+                      static_cast<double>(y[i + l]));
+    }
+  }
+  for (size_t l = 0; i + l < n; ++l) {
+    lane[l] += term(static_cast<double>(x[i + l]) -
+                    static_cast<double>(y[i + l]));
+  }
+  return ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+         ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
+
+}  // namespace
+
+double ReferenceSumAbsDiff(const float* x, const float* y, size_t n) {
+  return LaneSum(x, y, n, [](double d) { return std::fabs(d); });
+}
+
+double ReferenceSumSquaredDiff(const float* x, const float* y, size_t n) {
+  return LaneSum(x, y, n, [](double d) { return d * d; });
+}
+
+bool Avx2KernelAvailable() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+const SumKernels& ActiveSumKernels() {
+  static const SumKernels kernels =
+      Avx2KernelAvailable()
+          ? SumKernels{&Avx2SumAbsDiff, &Avx2SumSquaredDiff}
+          : SumKernels{&ReferenceSumAbsDiff, &ReferenceSumSquaredDiff};
+  return kernels;
 }
 
 }  // namespace internal
@@ -25,27 +75,15 @@ void RecordDistanceEvaluation() {
 double L1Distance::DistanceImpl(const VectorObject& a,
                                 const VectorObject& b) const {
   assert(a.dimension() == b.dimension());
-  const auto& x = a.values();
-  const auto& y = b.values();
-  double sum = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    sum += std::fabs(static_cast<double>(x[i]) - static_cast<double>(y[i]));
-  }
-  return sum;
+  return internal::ActiveSumKernels().abs_diff(
+      a.values().data(), b.values().data(), a.dimension());
 }
 
 double L2Distance::DistanceImpl(const VectorObject& a,
                                 const VectorObject& b) const {
   assert(a.dimension() == b.dimension());
-  const auto& x = a.values();
-  const auto& y = b.values();
-  double sum = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    const double diff =
-        static_cast<double>(x[i]) - static_cast<double>(y[i]);
-    sum += diff * diff;
-  }
-  return std::sqrt(sum);
+  return std::sqrt(internal::ActiveSumKernels().squared_diff(
+      a.values().data(), b.values().data(), a.dimension()));
 }
 
 double LInfDistance::DistanceImpl(const VectorObject& a,
@@ -109,25 +147,18 @@ double SegmentedLpDistance::DistanceImpl(const VectorObject& a,
                                          const VectorObject& b) const {
   assert(a.dimension() == b.dimension());
   assert(a.dimension() == TotalDimension());
-  const auto& x = a.values();
-  const auto& y = b.values();
+  const internal::SumKernels& kernels = internal::ActiveSumKernels();
+  const float* x = a.values().data();
+  const float* y = b.values().data();
   double total = 0.0;
-  size_t offset = 0;
   for (const auto& seg : segments_) {
     double sum = 0.0;
     if (seg.p == 1.0) {
-      for (size_t i = offset; i < offset + seg.length; ++i) {
-        sum += std::fabs(static_cast<double>(x[i]) - static_cast<double>(y[i]));
-      }
+      sum = kernels.abs_diff(x, y, seg.length);
     } else if (seg.p == 2.0) {
-      for (size_t i = offset; i < offset + seg.length; ++i) {
-        const double diff =
-            static_cast<double>(x[i]) - static_cast<double>(y[i]);
-        sum += diff * diff;
-      }
-      sum = std::sqrt(sum);
+      sum = std::sqrt(kernels.squared_diff(x, y, seg.length));
     } else {
-      for (size_t i = offset; i < offset + seg.length; ++i) {
+      for (size_t i = 0; i < seg.length; ++i) {
         const double diff =
             std::fabs(static_cast<double>(x[i]) - static_cast<double>(y[i]));
         sum += std::pow(diff, seg.p);
@@ -135,7 +166,8 @@ double SegmentedLpDistance::DistanceImpl(const VectorObject& a,
       sum = std::pow(sum, 1.0 / seg.p);
     }
     total += seg.weight * sum;
-    offset += seg.length;
+    x += seg.length;
+    y += seg.length;
   }
   return total;
 }

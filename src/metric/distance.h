@@ -15,9 +15,11 @@
 #ifndef SIMCLOUD_METRIC_DISTANCE_H_
 #define SIMCLOUD_METRIC_DISTANCE_H_
 
-#include <atomic>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,51 +29,87 @@
 namespace simcloud {
 namespace metric {
 
+// Floating-point policy.
+//
+// L1, L2 and the p = 1 / p = 2 segments of SegmentedLpDistance sum their
+// per-coordinate terms (|x_i - y_i| for p = 1, (x_i - y_i)^2 for p = 2,
+// each computed in double from the float inputs) in one fixed order:
+//   * term i goes into lane accumulator i mod 8; whole groups of 8 first,
+//     then the n mod 8 tail terms into lanes 0..r-1;
+//   * the lanes reduce as ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+// The scalar reference (internal::Reference*, distance.cc) and the AVX2
+// kernel (internal::Avx2*, distance_avx2.cc) compute exactly this order,
+// both without FMA contraction, so they agree bit for bit on every input;
+// Distance() and DistanceMany() run the same kernel. This order is the
+// reference: every oracle (brute-force ground truth, plain M-Index,
+// byte-identity twins) calls the same functions. On integer-valued data
+// (the CoPhIR, YEAST and HUMAN sets) every partial sum is exact in double,
+// so the results equal those of any summation order, in particular the
+// serial loop this order replaced. On non-integer data the last ulp may
+// differ from that serial loop.
+
 namespace internal {
-/// Observability bridge (distance.cc): bumps the process-global
+/// Observability bridge (distance.cc): adds `n` to the process-global
 /// simcloud_distance_computations_total counter and attributes the
-/// evaluation to the current request trace span, if any. Out of line so
-/// this header does not pull in obs/.
-void RecordDistanceEvaluation();
+/// evaluations to the current request trace span, if any — one update
+/// per Distance() or DistanceMany() call. Out of line so this header
+/// does not pull in obs/.
+void RecordDistanceEvaluations(uint64_t n);
+
+/// The fixed-order kernels of the policy above, over x[0..n) and
+/// y[0..n): sum |x_i - y_i| and sum (x_i - y_i)^2. Exposed so tests can
+/// cross-check the AVX2 kernel against the reference directly.
+double ReferenceSumAbsDiff(const float* x, const float* y, size_t n);
+double ReferenceSumSquaredDiff(const float* x, const float* y, size_t n);
+
+/// True when the CPU (and OS) support AVX2.
+bool Avx2KernelAvailable();
+/// AVX2 twins of the references; call only when Avx2KernelAvailable().
+double Avx2SumAbsDiff(const float* x, const float* y, size_t n);
+double Avx2SumSquaredDiff(const float* x, const float* y, size_t n);
+
+/// The kernel pair every distance function runs: the AVX2 kernels when
+/// Avx2KernelAvailable(), else the references. Chosen once per process.
+struct SumKernels {
+  double (*abs_diff)(const float* x, const float* y, size_t n);
+  double (*squared_diff)(const float* x, const float* y, size_t n);
+};
+const SumKernels& ActiveSumKernels();
 }  // namespace internal
 
 /// Abstract total distance function d : D x D -> R satisfying the metric
-/// postulates. Implementations must be thread-safe and stateless apart
-/// from the global evaluation counter.
+/// postulates. Implementations must be thread-safe and stateless.
+/// Evaluations are counted in the obs registry
+/// (simcloud_distance_computations_total) and the request trace span.
 class DistanceFunction {
  public:
-  DistanceFunction() = default;
   virtual ~DistanceFunction() = default;
-  // Copying a distance function starts a fresh evaluation counter.
-  DistanceFunction(const DistanceFunction&) : evaluations_(0) {}
-  DistanceFunction& operator=(const DistanceFunction&) { return *this; }
 
   /// Computes d(a, b). Both objects must have the same dimensionality.
   double Distance(const VectorObject& a, const VectorObject& b) const {
-    evaluations_.fetch_add(1, std::memory_order_relaxed);
-    internal::RecordDistanceEvaluation();
+    internal::RecordDistanceEvaluations(1);
     return DistanceImpl(a, b);
+  }
+
+  /// out[i] = d(query, objects[i]) for every i, bit-identical to
+  /// Distance(query, objects[i]), with one accounting update for the
+  /// whole batch. out.size() must equal objects.size().
+  void DistanceMany(const VectorObject& query,
+                    std::span<const VectorObject> objects,
+                    std::span<double> out) const {
+    assert(out.size() == objects.size());
+    internal::RecordDistanceEvaluations(objects.size());
+    for (size_t i = 0; i < objects.size(); ++i) {
+      out[i] = DistanceImpl(query, objects[i]);
+    }
   }
 
   /// Short identifier ("L1", "L2", "Lp(0.5)", "cophir", ...).
   virtual std::string Name() const = 0;
 
-  /// Number of Distance() evaluations since construction or ResetCounter().
-  /// The paper's cost model counts distance computations as the dominant
-  /// client-side search cost; benches read this counter.
-  uint64_t evaluation_count() const {
-    return evaluations_.load(std::memory_order_relaxed);
-  }
-  void ResetCounter() const {
-    evaluations_.store(0, std::memory_order_relaxed);
-  }
-
  protected:
   virtual double DistanceImpl(const VectorObject& a,
                               const VectorObject& b) const = 0;
-
- private:
-  mutable std::atomic<uint64_t> evaluations_{0};
 };
 
 /// Manhattan distance: sum_i |a_i - b_i|.

@@ -28,11 +28,9 @@ Result<PivotSet> PivotSet::SelectRandom(
 std::vector<float> PivotSet::ComputeDistances(
     const metric::VectorObject& object,
     const metric::DistanceFunction& distance) const {
-  std::vector<float> distances(pivots_.size());
-  for (size_t i = 0; i < pivots_.size(); ++i) {
-    distances[i] = static_cast<float>(distance.Distance(object, pivots_[i]));
-  }
-  return distances;
+  std::vector<double> exact(pivots_.size());
+  distance.DistanceMany(object, pivots_, exact);
+  return std::vector<float>(exact.begin(), exact.end());
 }
 
 void PivotSet::Serialize(BinaryWriter* writer) const {

@@ -1,5 +1,7 @@
 #include "secure/auth.h"
 
+#include <algorithm>
+
 #include "crypto/hmac.h"
 #include "crypto/secure_random.h"
 
@@ -8,17 +10,24 @@ namespace secure {
 
 namespace {
 
-Bytes ComputeTag(const Bytes& mac_key, const uint8_t* nonce,
-                 const Bytes& request) {
-  Bytes message;
-  message.reserve(AuthenticatingHandler::kNonceSize + request.size());
-  message.insert(message.end(), nonce,
-                 nonce + AuthenticatingHandler::kNonceSize);
-  message.insert(message.end(), request.begin(), request.end());
-  return crypto::HmacSha256(mac_key, message);
+/// tag = HMAC-SHA256(mac_key, nonce || body), streamed from where the two
+/// parts lie instead of gluing them into one buffer first.
+void ComputeTag(const crypto::HmacSha256State& mac, const uint8_t* nonce,
+                const uint8_t* body, size_t body_len, uint8_t* tag) {
+  crypto::HmacSha256State::Stream stream = mac.NewStream();
+  stream.Update(nonce, AuthenticatingHandler::kNonceSize);
+  stream.Update(body, body_len);
+  stream.FinishInto(tag);
 }
 
 }  // namespace
+
+AuthenticatingHandler::AuthenticatingHandler(Bytes mac_key,
+                                             net::RequestHandler* inner,
+                                             size_t replay_window)
+    : mac_(mac_key), inner_(inner), replay_window_(replay_window) {
+  WipeBytes(&mac_key);
+}
 
 Result<Bytes> AuthenticatingHandler::Handle(const Bytes& request) {
   return HandleStream(request, nullptr);
@@ -35,11 +44,10 @@ Result<Bytes> AuthenticatingHandler::HandleStream(const Bytes& request,
   if (request.size() < kHeader) {
     return reject("request too short for authentication header");
   }
-  const Bytes tag(request.begin() + kNonceSize,
-                  request.begin() + kHeader);
-  const Bytes inner_request(request.begin() + kHeader, request.end());
-  const Bytes expected = ComputeTag(mac_key_, request.data(), inner_request);
-  if (!ConstantTimeEquals(tag, expected)) {
+  uint8_t expected[kTagSize];
+  ComputeTag(mac_, request.data(), request.data() + kHeader,
+             request.size() - kHeader, expected);
+  if (!ConstantTimeEquals(request.data() + kNonceSize, expected, kTagSize)) {
     return reject("request MAC verification failed");
   }
   if (replay_window_ > 0) {
@@ -56,11 +64,14 @@ Result<Bytes> AuthenticatingHandler::HandleStream(const Bytes& request,
       nonce_order_.pop_front();
     }
   }
+  const Bytes inner_request(request.begin() + kHeader, request.end());
   return inner_->HandleStream(inner_request, stream);
 }
 
-AuthenticatingTransport::~AuthenticatingTransport() {
-  WipeBytes(&mac_key_);
+AuthenticatingTransport::AuthenticatingTransport(Bytes mac_key,
+                                                 net::Transport* inner)
+    : mac_(mac_key), inner_(inner) {
+  WipeBytes(&mac_key);
 }
 
 Result<Bytes> AuthenticatingTransport::Authenticate(const Bytes& request) {
@@ -73,12 +84,12 @@ Result<Bytes> AuthenticatingTransport::Authenticate(const Bytes& request) {
   for (size_t i = 0; i < sizeof(counter) && i < nonce.size(); ++i) {
     nonce[i] ^= static_cast<uint8_t>(counter >> (8 * i));
   }
-  const Bytes tag = ComputeTag(mac_key_, nonce.data(), request);
-
-  Bytes framed;
-  framed.reserve(nonce.size() + tag.size() + request.size());
-  framed.insert(framed.end(), nonce.begin(), nonce.end());
-  framed.insert(framed.end(), tag.begin(), tag.end());
+  constexpr size_t kHeader =
+      AuthenticatingHandler::kNonceSize + AuthenticatingHandler::kTagSize;
+  Bytes framed(kHeader);
+  std::copy(nonce.begin(), nonce.end(), framed.begin());
+  ComputeTag(mac_, nonce.data(), request.data(), request.size(),
+             framed.data() + AuthenticatingHandler::kNonceSize);
   framed.insert(framed.end(), request.begin(), request.end());
   return framed;
 }

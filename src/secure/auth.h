@@ -33,6 +33,7 @@
 
 #include "common/bytes.h"
 #include "common/status.h"
+#include "crypto/hmac.h"
 #include "net/transport.h"
 #include "secure/secret_key.h"
 
@@ -49,11 +50,10 @@ class AuthenticatingHandler : public net::RequestHandler {
 
   /// `inner` must outlive the handler. `replay_window` bounds the nonce
   /// cache; 0 disables replay detection.
+  /// Key hygiene: the raw `mac_key` is wiped once its HMAC key schedule
+  /// is built, and the schedule is wiped on destruction.
   AuthenticatingHandler(Bytes mac_key, net::RequestHandler* inner,
-                        size_t replay_window = 4096)
-      : mac_key_(std::move(mac_key)),
-        inner_(inner),
-        replay_window_(replay_window) {}
+                        size_t replay_window = 4096);
 
   Result<Bytes> Handle(const Bytes& request) override;
   /// Verifies, then forwards the stream context unchanged — watch and
@@ -73,7 +73,7 @@ class AuthenticatingHandler : public net::RequestHandler {
   }
 
  private:
-  Bytes mac_key_;
+  crypto::HmacSha256State mac_;
   net::RequestHandler* inner_;
   size_t replay_window_;
 
@@ -91,12 +91,10 @@ class AuthenticatingHandler : public net::RequestHandler {
 /// atomic); Call serializes like the inner Call.
 class AuthenticatingTransport : public net::Transport {
  public:
-  /// `inner` must outlive the transport.
-  AuthenticatingTransport(Bytes mac_key, net::Transport* inner)
-      : mac_key_(std::move(mac_key)), inner_(inner) {}
-
-  /// Key hygiene: the MAC key is wiped on destruction.
-  ~AuthenticatingTransport() override;
+  /// `inner` must outlive the transport. Key hygiene: the raw `mac_key`
+  /// is wiped once its HMAC key schedule is built, and the schedule is
+  /// wiped on destruction.
+  AuthenticatingTransport(Bytes mac_key, net::Transport* inner);
 
   Result<Bytes> Call(const Bytes& request) override;
 
@@ -115,7 +113,7 @@ class AuthenticatingTransport : public net::Transport {
   /// strips).
   Result<Bytes> Authenticate(const Bytes& request);
 
-  Bytes mac_key_;
+  crypto::HmacSha256State mac_;
   net::Transport* inner_;
   std::atomic<uint64_t> counter_{0};  // mixed into nonces for uniqueness
 };

@@ -176,12 +176,23 @@ double EncryptionClient::MeasuredDistance(const VectorObject& query,
 
 Result<NeighborList> EncryptionClient::RefineCandidates(
     const mindex::CandidateList& candidates, const VectorObject& query) {
-  NeighborList refined;
-  refined.reserve(candidates.size());
+  std::vector<VectorObject> objects;
+  objects.reserve(candidates.size());
   for (const auto& candidate : candidates) {
     SIMCLOUD_ASSIGN_OR_RETURN(VectorObject object,
                               DecryptCandidate(candidate.payload));
-    refined.push_back(Neighbor{object.id(), MeasuredDistance(query, object)});
+    objects.push_back(std::move(object));
+  }
+  std::vector<double> distances(objects.size());
+  Stopwatch watch;
+  metric_->DistanceMany(query, objects, distances);
+  costs_.distance_nanos += watch.ElapsedNanos();
+  costs_.distance_computations += objects.size();
+
+  NeighborList refined;
+  refined.reserve(objects.size());
+  for (size_t i = 0; i < objects.size(); ++i) {
+    refined.push_back(Neighbor{objects[i].id(), distances[i]});
   }
   std::sort(refined.begin(), refined.end());
   return refined;
@@ -303,11 +314,7 @@ Result<std::vector<NeighborList>> EncryptionClient::RefineBatch(
     const std::vector<VectorObject>& queries) {
   std::vector<std::optional<VectorObject>> decoded(
       response.batch.payloads.size());
-  std::vector<NeighborList> results;
-  results.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    NeighborList refined;
-    refined.reserve(response.batch.per_query[q].size());
     for (const mindex::BatchCandidateRef& ref : response.batch.per_query[q]) {
       if (!decoded[ref.payload_index].has_value()) {
         SIMCLOUD_ASSIGN_OR_RETURN(
@@ -315,12 +322,24 @@ Result<std::vector<NeighborList>> EncryptionClient::RefineBatch(
             DecryptCandidate(response.batch.payloads[ref.payload_index]));
         decoded[ref.payload_index] = std::move(object);
       }
+    }
+  }
+
+  std::vector<NeighborList> results(queries.size());
+  Stopwatch watch;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    NeighborList& refined = results[q];
+    refined.reserve(response.batch.per_query[q].size());
+    for (const mindex::BatchCandidateRef& ref : response.batch.per_query[q]) {
       const VectorObject& object = *decoded[ref.payload_index];
       refined.push_back(
-          Neighbor{object.id(), MeasuredDistance(queries[q], object)});
+          Neighbor{object.id(), metric_->Distance(queries[q], object)});
     }
+    costs_.distance_computations += refined.size();
+  }
+  costs_.distance_nanos += watch.ElapsedNanos();
+  for (NeighborList& refined : results) {
     std::sort(refined.begin(), refined.end());
-    results.push_back(std::move(refined));
   }
   return results;
 }

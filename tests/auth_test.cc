@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/hmac.h"
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
 #include "net/tcp.h"
@@ -48,6 +49,39 @@ TEST(AuthTest, AuthorizedRequestPassesThroughUnchanged) {
   EXPECT_EQ(echo.calls(), 1u);
   EXPECT_EQ(echo.last_request(), request);
   EXPECT_EQ(handler.rejected_count(), 0u);
+}
+
+TEST(AuthTest, StreamedTagEqualsOneShotHmacOverNonceAndBody) {
+  // The tag is HMAC-SHA256(key, nonce || body), hashed in two streamed
+  // parts on both sides; bodies straddle the 64-byte SHA-256 block.
+  const Bytes mac_key(32, 0x5A);
+  for (size_t length : {0u, 1u, 63u, 64u, 65u, 65536u}) {
+    EchoHandler raw;  // sees the framed request: nonce || tag || body
+    net::LoopbackTransport wire(&raw);
+    AuthenticatingTransport transport(mac_key, &wire);
+    Bytes body(length);
+    for (size_t i = 0; i < length; ++i) body[i] = static_cast<uint8_t>(i * 7);
+    ASSERT_TRUE(transport.Call(body).ok()) << length;
+
+    const Bytes& framed = raw.last_request();
+    constexpr size_t kNonce = AuthenticatingHandler::kNonceSize;
+    constexpr size_t kHeader = kNonce + AuthenticatingHandler::kTagSize;
+    ASSERT_EQ(framed.size(), kHeader + length);
+    Bytes nonce_and_body(framed.begin(), framed.begin() + kNonce);
+    for (uint8_t byte : body) nonce_and_body.push_back(byte);
+    EXPECT_EQ(Bytes(framed.begin() + kNonce, framed.begin() + kHeader),
+              crypto::HmacSha256(mac_key, nonce_and_body))
+        << length;
+    EXPECT_EQ(Bytes(framed.begin() + kHeader, framed.end()), body);
+
+    // The server recomputes the same tag and forwards the body.
+    EchoHandler echo;
+    AuthenticatingHandler handler(mac_key, &echo);
+    auto response = handler.Handle(framed);
+    ASSERT_TRUE(response.ok()) << length << ": "
+                               << response.status().ToString();
+    EXPECT_EQ(echo.last_request(), body);
+  }
 }
 
 TEST(AuthTest, UnauthenticatedRequestIsRejected) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <new>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -421,6 +423,21 @@ TEST(HmacTest, Rfc4231Case6_LongKey) {
   const std::string msg = "Test Using Larger Than Block-Size Key - Hash Key First";
   EXPECT_EQ(ToHex(HmacSha256(key, Bytes(msg.begin(), msg.end()))),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacTest, KeyStateIsWipedOnDestruction) {
+  // The ipad/opad states can forge tags like the key itself, so the
+  // destructor must leave none of their bytes behind.
+  const Bytes key(32, 0xab);
+  const Bytes msg = {1, 2, 3};
+  alignas(HmacSha256State) unsigned char storage[sizeof(HmacSha256State)];
+  auto* state = new (storage) HmacSha256State(key);
+  ASSERT_EQ(state->Mac(msg), HmacSha256(key, msg));
+  ASSERT_TRUE(std::any_of(std::begin(storage), std::end(storage),
+                          [](unsigned char c) { return c != 0; }));
+  state->~HmacSha256State();
+  EXPECT_TRUE(std::all_of(std::begin(storage), std::end(storage),
+                          [](unsigned char c) { return c == 0; }));
 }
 
 TEST(Pbkdf2Test, KnownVectors) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 
@@ -13,6 +14,8 @@
 #include "metric/distance.h"
 #include "metric/ground_truth.h"
 #include "metric/neighbor.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace simcloud {
 namespace metric {
@@ -72,14 +75,33 @@ TEST(DistanceTest, SegmentedMatchesManualCombination) {
   EXPECT_EQ(seg->TotalDimension(), 4u);
 }
 
-TEST(DistanceTest, EvaluationCounterCounts) {
+TEST(DistanceTest, EvaluationsReachTheCounterAndTheSpan) {
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  const obs::Counter* counter = obs::Registry::Default().GetCounter(
+      "simcloud_distance_computations_total");
   L2Distance d;
-  EXPECT_EQ(d.evaluation_count(), 0u);
-  d.Distance(Obj(0, {1}), Obj(1, {2}));
-  d.Distance(Obj(0, {1}), Obj(1, {2}));
-  EXPECT_EQ(d.evaluation_count(), 2u);
-  d.ResetCounter();
-  EXPECT_EQ(d.evaluation_count(), 0u);
+  const VectorObject a = Obj(0, {1}), b = Obj(1, {2});
+  const std::vector<VectorObject> objects(5, b);
+  std::vector<double> out(objects.size());
+
+  obs::TraceSpan span;
+  const uint64_t before = counter->Value();
+  {
+    obs::TraceSpan::Scope scope(&span);
+    d.Distance(a, b);
+    EXPECT_EQ(counter->Value() - before, 1u);
+    EXPECT_EQ(span.distance_computations(), 1u);
+    d.DistanceMany(a, objects, out);
+    EXPECT_EQ(counter->Value() - before, 6u);
+    EXPECT_EQ(span.distance_computations(), 6u);
+    d.DistanceMany(a, {}, {});
+    EXPECT_EQ(counter->Value() - before, 6u);
+  }
+  d.Distance(a, b);  // outside the span: counted globally only
+  EXPECT_EQ(counter->Value() - before, 7u);
+  EXPECT_EQ(span.distance_computations(), 6u);
+  obs::SetMetricsEnabled(metrics_were_enabled);
 }
 
 TEST(DistanceTest, FactoryByName) {
@@ -195,6 +217,170 @@ TEST(DistanceFactoryTest, MakesEveryNamedDistance) {
   }
   EXPECT_FALSE(MakeDistanceByName("Lp:0.5").ok());
   EXPECT_FALSE(MakeDistanceByName("hamming?").ok());
+}
+
+// ------------------------------------------ Fixed-order distance kernels
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+/// Values in +-1e3 with a share of exact +0.0 and -0.0.
+std::vector<float> KernelInput(Rng& rng, size_t n) {
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    const uint64_t pick = rng.NextBounded(16);
+    x = pick == 0   ? 0.0f
+        : pick == 1 ? -0.0f
+                    : static_cast<float>(rng.NextUniform(-1e3, 1e3));
+  }
+  return v;
+}
+
+/// The summation order distance.h documents, written out independently
+/// of distance.cc.
+double DocumentedOrderSum(const std::vector<float>& x,
+                          const std::vector<float>& y, bool square) {
+  double lane[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double d = static_cast<double>(x[i]) - static_cast<double>(y[i]);
+    lane[i % 8] += square ? d * d : std::fabs(d);
+  }
+  return ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+         ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
+
+TEST(DistanceKernelTest, ReferenceSumsInTheDocumentedOrder) {
+  Rng rng(2021);
+  for (size_t n = 0; n <= 300; ++n) {
+    const std::vector<float> x = KernelInput(rng, n), y = KernelInput(rng, n);
+    EXPECT_EQ(Bits(internal::ReferenceSumAbsDiff(x.data(), y.data(), n)),
+              Bits(DocumentedOrderSum(x, y, false)))
+        << "n=" << n;
+    EXPECT_EQ(Bits(internal::ReferenceSumSquaredDiff(x.data(), y.data(), n)),
+              Bits(DocumentedOrderSum(x, y, true)))
+        << "n=" << n;
+  }
+}
+
+TEST(DistanceKernelTest, Avx2MatchesReferenceBitForBit) {
+  if (!internal::Avx2KernelAvailable()) GTEST_SKIP() << "CPU lacks AVX2";
+  Rng rng(2022);
+  for (size_t n = 0; n <= 300; ++n) {
+    for (int rep = 0; rep < 4; ++rep) {
+      const std::vector<float> x = KernelInput(rng, n);
+      std::vector<float> y = KernelInput(rng, n);
+      // Equal and sign-flipped zero coordinates give +-0.0 differences.
+      for (size_t i = 0; i < n; ++i) {
+        if (rng.NextBounded(8) == 0) y[i] = x[i];
+        if (x[i] == 0.0f && rng.NextBounded(2) == 0) y[i] = -x[i];
+      }
+      EXPECT_EQ(Bits(internal::Avx2SumAbsDiff(x.data(), y.data(), n)),
+                Bits(internal::ReferenceSumAbsDiff(x.data(), y.data(), n)))
+          << "p=1 n=" << n;
+      EXPECT_EQ(
+          Bits(internal::Avx2SumSquaredDiff(x.data(), y.data(), n)),
+          Bits(internal::ReferenceSumSquaredDiff(x.data(), y.data(), n)))
+          << "p=2 n=" << n;
+    }
+  }
+}
+
+TEST(DistanceKernelTest, DispatchPicksAvx2WhenTheCpuHasIt) {
+  const internal::SumKernels& kernels = internal::ActiveSumKernels();
+  if (internal::Avx2KernelAvailable()) {
+    EXPECT_EQ(kernels.abs_diff, &internal::Avx2SumAbsDiff);
+    EXPECT_EQ(kernels.squared_diff, &internal::Avx2SumSquaredDiff);
+  } else {
+    EXPECT_EQ(kernels.abs_diff, &internal::ReferenceSumAbsDiff);
+    EXPECT_EQ(kernels.squared_diff, &internal::ReferenceSumSquaredDiff);
+  }
+}
+
+TEST(DistanceManyTest, MatchesDistanceBitForBit) {
+  auto odd_segments = SegmentedLpDistance::Create(
+      {{5, 1.0, 1.5}, {11, 2.0, 0.5}, {3, 1.0, 2.0}, {6, 3.0, 1.0}});
+  ASSERT_TRUE(odd_segments.ok());
+  const std::vector<MetricCase> cases = {
+      {"L1", std::make_shared<L1Distance>(), 37},
+      {"L2", std::make_shared<L2Distance>(), 37},
+      {"Linf", std::make_shared<LInfDistance>(), 37},
+      {"Lp2.5", std::make_shared<LpDistance>(2.5), 37},
+      {"angular", std::make_shared<AngularDistance>(), 37},
+      {"cophir", data::MakeCophirDistance(), 280},
+      {"segmented-odd",
+       std::make_shared<SegmentedLpDistance>(std::move(odd_segments).value()),
+       25},
+  };
+  Rng rng(2023);
+  for (const MetricCase& test_case : cases) {
+    const VectorObject query(0, KernelInput(rng, test_case.dimension));
+    std::vector<VectorObject> objects;
+    for (ObjectId id = 1; id <= 50; ++id) {
+      objects.emplace_back(id, KernelInput(rng, test_case.dimension));
+    }
+    std::vector<double> out(objects.size());
+    test_case.distance->DistanceMany(query, objects, out);
+    for (size_t i = 0; i < objects.size(); ++i) {
+      EXPECT_EQ(Bits(out[i]),
+                Bits(test_case.distance->Distance(query, objects[i])))
+          << test_case.name << " object " << i;
+    }
+  }
+}
+
+/// The serial single-accumulator loop the segmented distance used before
+/// the fixed-order kernels; pins that integer-valued data sets (and so
+/// every answer and recall figure on them) do not move.
+double SerialSegmentedDistance(const SegmentedLpDistance& distance,
+                               const VectorObject& a, const VectorObject& b) {
+  const auto& x = a.values();
+  const auto& y = b.values();
+  double total = 0.0;
+  size_t offset = 0;
+  for (const auto& seg : distance.segments()) {
+    double sum = 0.0;
+    for (size_t i = offset; i < offset + seg.length; ++i) {
+      const double diff =
+          static_cast<double>(x[i]) - static_cast<double>(y[i]);
+      sum += seg.p == 1.0 ? std::fabs(diff) : diff * diff;
+    }
+    if (seg.p == 2.0) sum = std::sqrt(sum);
+    total += seg.weight * sum;
+    offset += seg.length;
+  }
+  return total;
+}
+
+TEST(DistanceManyTest, IntegerDataEqualsTheSerialLoop) {
+  const Dataset cophir = data::MakeCophirLike(600, 17);
+  const auto& metric =
+      dynamic_cast<const SegmentedLpDistance&>(*cophir.distance());
+  const std::vector<VectorObject>& objects = cophir.objects();
+  std::vector<double> out(objects.size());
+  for (size_t q = 0; q < 20; ++q) {
+    metric.DistanceMany(objects[q], objects, out);
+    for (size_t i = 0; i < objects.size(); ++i) {
+      ASSERT_EQ(Bits(out[i]),
+                Bits(SerialSegmentedDistance(metric, objects[q], objects[i])))
+          << "query " << q << " object " << i;
+    }
+  }
+
+  // YEAST and HUMAN: L1 over integer expression levels.
+  for (const Dataset& dataset :
+       {data::MakeYeastLike(3), data::MakeHumanLike(3)}) {
+    const auto l1 = SegmentedLpDistance::Create(
+        {{dataset.objects()[0].dimension(), 1.0, 1.0}});
+    ASSERT_TRUE(l1.ok());
+    for (size_t q = 0; q < 5; ++q) {
+      for (const VectorObject& object : dataset.objects()) {
+        ASSERT_EQ(Bits(dataset.distance()->Distance(dataset.objects()[q],
+                                                     object)),
+                  Bits(SerialSegmentedDistance(*l1, dataset.objects()[q],
+                                               object)))
+            << dataset.name() << " query " << q;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ Neighbors/recall
