@@ -124,6 +124,17 @@ if grep -rnE 'io_uring|SIMCLOUD_IO_ENGINE|PipelinedTransport' src/; then
   exit 1
 fi
 
+echo "=== lint: one search and delete path below the wire in src/ ==="
+# Single range / k-NN / delete opcodes are batches of one in the index,
+# the server and the facade; their single-query engine entry points and
+# the facade's single-query merge were deleted. Any of these coming back
+# is a second path.
+removed='QueryEngine::(RangeSearch|ApproxKnn)\(|ShardedServer::FanOut\('
+if grep -rnE "$removed|MergeShardResults" src/; then
+  echo "FAIL: src/ names a removed single-query search path" >&2
+  exit 1
+fi
+
 echo "=== lint: the AVX2 distance kernel includes no library header ==="
 # distance_avx2.cc is built with -mavx2. An inline function from any other
 # header compiled there may be the copy the linker keeps for every caller,

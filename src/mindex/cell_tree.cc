@@ -299,14 +299,15 @@ void CellTree::CollectRangeBatchRecursive(
     std::vector<std::vector<std::pair<double, const Entry*>>>* out,
     std::vector<SearchStats>* stats) const {
   if (node.is_leaf) {
-    if (stats != nullptr) {
-      for (size_t q : active) (*stats)[q].cells_visited++;
-    }
-    for (const Entry& entry : node.entries) {
-      for (size_t q : active) {
-        if (stats != nullptr) (*stats)[q].entries_scanned++;
-        const std::vector<float>& query_distances =
-            queries[q].pivot_distances;
+    // Query-major, so a batch of one scans a leaf as CollectRange does.
+    for (size_t q : active) {
+      SearchStats* query_stats = stats != nullptr ? &(*stats)[q] : nullptr;
+      if (query_stats != nullptr) query_stats->cells_visited++;
+      const std::vector<float>& query_distances = queries[q].pivot_distances;
+      const double radius = queries[q].radius;
+      std::vector<std::pair<double, const Entry*>>& query_out = (*out)[q];
+      for (const Entry& entry : node.entries) {
+        if (query_stats != nullptr) query_stats->entries_scanned++;
         double lower_bound = 0.0;
         if (!entry.pivot_distances.empty()) {
           for (size_t i = 0; i < num_pivots_; ++i) {
@@ -315,13 +316,13 @@ void CellTree::CollectRangeBatchRecursive(
                 static_cast<double>(entry.pivot_distances[i]));
             if (diff > lower_bound) lower_bound = diff;
           }
-          if (lower_bound > queries[q].radius) {
-            if (stats != nullptr) (*stats)[q].entries_filtered++;
+          if (lower_bound > radius) {
+            if (query_stats != nullptr) query_stats->entries_filtered++;
             continue;
           }
         }
-        (*out)[q].emplace_back(lower_bound, &entry);
-        if (stats != nullptr) (*stats)[q].candidates++;
+        query_out.emplace_back(lower_bound, &entry);
+        if (query_stats != nullptr) query_stats->candidates++;
       }
     }
     return;

@@ -5,6 +5,7 @@
 #define SIMCLOUD_MINDEX_ENTRY_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -87,7 +88,7 @@ struct BatchCandidateRef {
 /// (overlapping or repeated queries, the hot-traffic case) is stored,
 /// shipped, and decrypted once; per-query candidates reference it by
 /// index. MaterializeQuery expands one query back into an owning
-/// CandidateList identical to what the single-query path returns.
+/// CandidateList; TakeOnlyQuery expands a batch of one.
 struct BatchCandidates {
   std::vector<Bytes> payloads;  ///< unique payload bytes (the dictionary)
   std::vector<std::vector<BatchCandidateRef>> per_query;  ///< ranked refs
@@ -98,6 +99,19 @@ struct BatchCandidates {
     for (const BatchCandidateRef& ref : per_query[q]) {
       result.push_back(Candidate{ref.id, ref.score,
                                  payloads[ref.payload_index]});
+    }
+    return result;
+  }
+
+  /// Expands a batch of one query by moving its payloads out of the
+  /// dictionary: one query's candidates never share a payload handle, so
+  /// no entry is referenced twice.
+  CandidateList TakeOnlyQuery() {
+    CandidateList result;
+    result.reserve(per_query[0].size());
+    for (const BatchCandidateRef& ref : per_query[0]) {
+      result.push_back(Candidate{ref.id, ref.score,
+                                 std::move(payloads[ref.payload_index])});
     }
     return result;
   }

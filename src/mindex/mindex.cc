@@ -184,14 +184,13 @@ Status MIndex::InsertBatch(std::vector<Insertion> items) {
 Status MIndex::Delete(metric::ObjectId id,
                       std::vector<float> pivot_distances,
                       Permutation permutation) {
-  SIMCLOUD_ASSIGN_OR_RETURN(
-      permutation,
-      RoutingPermutation(pivot_distances, std::move(permutation)));
-  SIMCLOUD_ASSIGN_OR_RETURN(Entry removed, tree_.Remove(id, permutation));
-  SIMCLOUD_RETURN_NOT_OK(storage_->Free(removed.payload_handle));
-  bus_.JournalFree(removed.payload_handle);
-  bus_.Publish(MutationKind::kDelete, id, {}, {});
-  MaybeCompact();
+  std::vector<Deletion> batch(1);
+  batch[0] = {id, std::move(pivot_distances), std::move(permutation)};
+  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t deleted, DeleteBatch(batch));
+  if (deleted == 0) {
+    return Status::NotFound("object " + std::to_string(id) +
+                            " is not indexed");
+  }
   return Status::OK();
 }
 
@@ -439,7 +438,13 @@ Status MIndex::ForEachEntry(
 Result<CandidateList> MIndex::RangeSearchCandidates(
     const std::vector<float>& query_distances, double radius,
     SearchStats* stats) const {
-  return engine_.RangeSearch(query_distances, radius, stats);
+  std::vector<SearchStats> batch_stats;
+  SIMCLOUD_ASSIGN_OR_RETURN(
+      BatchCandidates batch,
+      engine_.RangeSearchBatch({RangeQuery{query_distances, radius}},
+                               &batch_stats));
+  if (stats != nullptr) *stats = batch_stats[0];
+  return batch.TakeOnlyQuery();
 }
 
 Result<RankedCandidates> MIndex::RangeSearchRankedCandidates(
@@ -456,7 +461,12 @@ Result<CandidateList> MIndex::MaterializeRankedPage(
 Result<CandidateList> MIndex::ApproxKnnCandidates(const QuerySignature& query,
                                                   size_t cand_size,
                                                   SearchStats* stats) const {
-  return engine_.ApproxKnn(query, cand_size, stats);
+  std::vector<SearchStats> batch_stats;
+  SIMCLOUD_ASSIGN_OR_RETURN(
+      BatchCandidates batch,
+      engine_.ApproxKnnBatch({KnnQuery{query, cand_size}}, &batch_stats));
+  if (stats != nullptr) *stats = batch_stats[0];
+  return batch.TakeOnlyQuery();
 }
 
 Result<BatchCandidates> MIndex::RangeSearchBatchCandidates(

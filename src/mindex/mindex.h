@@ -112,9 +112,10 @@ class MIndex {
   /// from inserting the items one by one.
   Status InsertBatch(std::vector<Insertion> items);
 
-  /// Deletes one object, routed by the same information the insert used:
-  /// `pivot_distances` and/or `permutation` (derived server-side when the
-  /// permutation is empty). NotFound if the object is not indexed. The
+  /// Deletes one object (DeleteBatch of one), routed by the same
+  /// information the insert used: `pivot_distances` and/or `permutation`
+  /// (derived server-side when the permutation is empty). NotFound if the
+  /// object is not indexed. The
   /// payload bytes are marked dead in the append-only storage and
   /// reclaimed by compaction — automatically once the garbage ratio
   /// passes `compaction_trigger`, or explicitly via Compact().
@@ -179,8 +180,8 @@ class MIndex {
   /// reference is invalidated by Compact().
   const BucketStorage& storage() const { return *storage_; }
 
-  /// Candidate set for precise range query R(q, r) (Algorithm 3). Returns
-  /// candidates sorted by their pivot-filtering lower bound.
+  /// Candidate set for precise range query R(q, r) (Algorithm 3), sorted
+  /// by pivot-filtering lower bound: RangeSearchBatchCandidates of one.
   Result<CandidateList> RangeSearchCandidates(
       const std::vector<float>& query_distances, double radius,
       SearchStats* stats = nullptr) const;
@@ -207,7 +208,7 @@ class MIndex {
   }
 
   /// Pre-ranked candidate set of size <= cand_size for approximate k-NN
-  /// (Algorithm 4).
+  /// (Algorithm 4): ApproxKnnBatchCandidates of one.
   Result<CandidateList> ApproxKnnCandidates(const QuerySignature& query,
                                             size_t cand_size,
                                             SearchStats* stats = nullptr) const;
@@ -215,14 +216,13 @@ class MIndex {
   /// Batched range search: duplicate queries memoized, distinct queries
   /// evaluated in one tree traversal, payloads fetched once and
   /// deduplicated into the result dictionary. `result.per_query[i]` /
-  /// `(*stats)[i]` answer `queries[i]` and materialize to exactly what
-  /// RangeSearchCandidates would return.
+  /// `(*stats)[i]` answer `queries[i]`, whatever else the batch holds.
   Result<BatchCandidates> RangeSearchBatchCandidates(
       const std::vector<RangeQuery>& queries,
       std::vector<SearchStats>* stats = nullptr) const;
 
   /// Batched approximate k-NN: one payload materialization pass for the
-  /// whole batch, per-query results identical to ApproxKnnCandidates.
+  /// whole batch, answered per query the same way.
   Result<BatchCandidates> ApproxKnnBatchCandidates(
       const std::vector<KnnQuery>& queries,
       std::vector<SearchStats>* stats = nullptr) const;

@@ -63,30 +63,6 @@ void QueryEngine::RankAndTrim(ScoredEntries* scored, size_t limit) {
   if (scored->size() > limit) scored->resize(limit);
 }
 
-Result<CandidateList> QueryEngine::Materialize(ScoredEntries scored,
-                                               size_t limit,
-                                               SearchStats* stats) const {
-  RankAndTrim(&scored, limit);
-
-  std::vector<PayloadHandle> handles;
-  handles.reserve(scored.size());
-  for (const auto& [score, entry] : scored) {
-    handles.push_back(entry->payload_handle);
-  }
-  std::vector<Bytes> payloads;
-  SIMCLOUD_RETURN_NOT_OK(TimedPayloadFetch(
-      [&] { return storage_->FetchMany(handles, &payloads); }));
-
-  CandidateList result;
-  result.reserve(scored.size());
-  for (size_t i = 0; i < scored.size(); ++i) {
-    result.push_back(Candidate{scored[i].second->id, scored[i].first,
-                               std::move(payloads[i])});
-  }
-  if (stats != nullptr) stats->candidates = result.size();
-  return result;
-}
-
 Result<BatchCandidates> QueryEngine::MaterializeBatch(
     std::vector<ScoredEntries> scored, const std::vector<size_t>& limits,
     const std::vector<size_t>& rep,
@@ -94,7 +70,9 @@ Result<BatchCandidates> QueryEngine::MaterializeBatch(
     std::vector<SearchStats>* stats) const {
   // Rank each distinct query's candidates, then fetch every payload the
   // batch needs in one call; a handle shared between queries lands in the
-  // dictionary once.
+  // dictionary once. One query's own candidates never share a handle, so
+  // the handle map is built only when a second distinct query needs it:
+  // a batch of one (every single-query search) pays no hashing.
   size_t total_candidates = 0;
   for (const ScoredEntries& entries : scored) {
     total_candidates += entries.size();
@@ -102,17 +80,23 @@ Result<BatchCandidates> QueryEngine::MaterializeBatch(
   std::vector<PayloadHandle> handles;
   handles.reserve(total_candidates);
   std::unordered_map<PayloadHandle, uint32_t> handle_slot;
-  handle_slot.reserve(total_candidates);
   std::vector<std::vector<BatchCandidateRef>> unique_refs(scored.size());
   for (size_t u = 0; u < scored.size(); ++u) {
     RankAndTrim(&scored[u], limits[u]);
+    if (u == 1) {
+      handle_slot.reserve(total_candidates);
+      for (uint32_t slot = 0; slot < handles.size(); ++slot) {
+        handle_slot.emplace(handles[slot], slot);
+      }
+    }
     unique_refs[u].reserve(scored[u].size());
     for (const auto& [score, entry] : scored[u]) {
-      auto [it, inserted] = handle_slot.emplace(
-          entry->payload_handle, static_cast<uint32_t>(handles.size()));
-      if (inserted) handles.push_back(entry->payload_handle);
-      unique_refs[u].push_back(
-          BatchCandidateRef{entry->id, score, it->second});
+      auto slot = static_cast<uint32_t>(handles.size());
+      if (u > 0) {
+        slot = handle_slot.emplace(entry->payload_handle, slot).first->second;
+      }
+      if (slot == handles.size()) handles.push_back(entry->payload_handle);
+      unique_refs[u].push_back(BatchCandidateRef{entry->id, score, slot});
     }
   }
 
@@ -129,20 +113,6 @@ Result<BatchCandidates> QueryEngine::MaterializeBatch(
     }
   }
   return batch;
-}
-
-Result<CandidateList> QueryEngine::RangeSearch(
-    const std::vector<float>& query_distances, double radius,
-    SearchStats* stats) const {
-  ScoredEntries scored;
-  {
-    obs::StageTimer timer(obs::Stage::kIndexEval);
-    SIMCLOUD_RETURN_NOT_OK(
-        tree_->CollectRange(query_distances, radius, &scored, stats));
-  }
-  if (stats != nullptr) RecordPivotEvaluations(stats->entries_scanned);
-  const size_t count = scored.size();
-  return Materialize(std::move(scored), count, stats);
 }
 
 Result<RankedCandidates> QueryEngine::RangeSearchRanked(
@@ -193,24 +163,6 @@ Result<CandidateList> QueryEngine::MaterializePage(
   }
   *next = pos;
   return page;
-}
-
-Result<CandidateList> QueryEngine::ApproxKnn(const QuerySignature& query,
-                                             size_t cand_size,
-                                             SearchStats* stats) const {
-  if (cand_size == 0) {
-    return Status::InvalidArgument("candidate set size must be > 0");
-  }
-  ScoredEntries scored;
-  {
-    obs::StageTimer timer(obs::Stage::kIndexEval);
-    SIMCLOUD_RETURN_NOT_OK(tree_->CollectApprox(query, cand_size,
-                                                promise_decay_, &scored,
-                                                stats));
-  }
-  if (stats != nullptr) RecordPivotEvaluations(stats->entries_scanned);
-  const size_t limit = query.whole_cells ? scored.size() : cand_size;
-  return Materialize(std::move(scored), limit, stats);
 }
 
 namespace {

@@ -1,30 +1,26 @@
-// Query engine of the M-Index: the shared scoring / pruning / payload
-// materialization pipeline behind every search, single or batched.
+// Query engine of the M-Index: the one scoring / pruning / payload
+// materialization pipeline behind every search. A single range or k-NN
+// query is a batch of one.
 //
-// The engine factors what RangeSearchCandidates and ApproxKnnCandidates
-// used to duplicate inside MIndex: collect scored entries from the cell
-// tree, pre-rank them (ascending score, Algorithm 4 line 5), trim to the
-// requested size, and materialize payload bytes. Materialization is where
-// the batching pays off — every search gathers all payload handles first
-// and issues ONE BucketStorage::FetchMany call, so the disk backend can
-// sort and coalesce the reads and the payload cache splits the batch into
-// hits and one backend round.
-//
-// Batch evaluation goes further:
-//  * identical queries inside a batch (repeated hot queries — the
-//    dominant pattern under heavy traffic) are detected by signature
-//    equality and evaluated ONCE, then replicated by reference;
+// The engine collects scored entries from the cell tree, pre-ranks them
+// (ascending score, Algorithm 4 line 5), trims to the requested size,
+// and materializes payload bytes with ONE BucketStorage::FetchMany call
+// per batch, so the disk backend can sort and coalesce the reads and the
+// payload cache splits the batch into hits and one backend round. Across
+// the queries of a batch:
+//  * identical queries (repeated hot queries — the dominant pattern under
+//    heavy traffic) are detected by signature equality and evaluated
+//    ONCE, then replicated by reference;
 //  * RangeSearchBatch pushes all distinct queries through one tree
 //    traversal (CellTree::CollectRangeBatch) — shared nodes are visited
 //    once;
-//  * payload handles are deduplicated across the whole batch before one
-//    FetchMany call, and results are returned as a BatchCandidates
-//    dictionary: each distinct payload is fetched and stored once no
-//    matter how many queries' candidate sets contain it.
+//  * payload handles are deduplicated before the fetch, and results are
+//    returned as a BatchCandidates dictionary: each distinct payload is
+//    fetched and stored once however many candidate sets contain it.
 //
-// Per-query results and stats are bit-identical to issuing the same
-// queries one at a time — the batch paths change the I/O and memory
-// schedule, never the answer.
+// A query's answer and stats do not depend on the rest of its batch.
+// Server-side cursors rank through CellTree::CollectRange instead
+// (RangeSearchRanked) and fetch a page at a time (MaterializePage).
 
 #ifndef SIMCLOUD_MINDEX_QUERY_ENGINE_H_
 #define SIMCLOUD_MINDEX_QUERY_ENGINE_H_
@@ -58,13 +54,8 @@ class QueryEngine {
       : tree_(tree), storage_(storage), promise_decay_(promise_decay),
         query_threads_(query_threads) {}
 
-  /// Precise range query R(q, r) (Algorithm 3): cell pruning + pivot
-  /// filtering, candidates sorted by filtering lower bound.
-  Result<CandidateList> RangeSearch(const std::vector<float>& query_distances,
-                                    double radius, SearchStats* stats) const;
-
   /// Pageable range evaluation (server-side cursors): the same collect +
-  /// rank pass as RangeSearch, but instead of materializing payloads it
+  /// rank pass as RangeSearchBatch, but instead of materializing payloads it
   /// returns the ranked (id, score, payload handle) tuples — ~24 bytes per
   /// candidate, no payload bytes. MaterializePage then fetches one page at
   /// a time, so a cursor holds O(total) metadata but only O(page) payload
@@ -81,14 +72,9 @@ class QueryEngine {
   /// fetches their payloads in ONE FetchMany, and advances `*next` past
   /// everything scanned. An empty page therefore means the snapshot is
   /// exhausted (`*next == ranked.size()`). Pages concatenate to exactly
-  /// what Materialize over the same (live) snapshot returns.
+  /// the one-shot answer over the same (live) snapshot.
   Result<CandidateList> MaterializePage(const RankedCandidates& ranked,
                                         size_t* next, size_t page_size) const;
-
-  /// Pre-ranked candidate set of size <= cand_size for approximate k-NN
-  /// (Algorithm 4).
-  Result<CandidateList> ApproxKnn(const QuerySignature& query,
-                                  size_t cand_size, SearchStats* stats) const;
 
   /// Evaluates a batch of range queries: duplicate queries memoized, the
   /// distinct ones evaluated in one tree traversal, payloads fetched in
@@ -109,10 +95,6 @@ class QueryEngine {
 
   /// Pre-ranks ascending by score (stable) and trims to `limit`.
   static void RankAndTrim(ScoredEntries* scored, size_t limit);
-
-  /// Fetches payloads for one ranked candidate set in a single FetchMany.
-  Result<CandidateList> Materialize(ScoredEntries scored, size_t limit,
-                                    SearchStats* stats) const;
 
   /// Builds the batch dictionary: ranks each distinct query's candidates,
   /// fetches the deduplicated handle set in one FetchMany, then expands

@@ -97,20 +97,7 @@ Status EncryptionClient::InsertBulk(const std::vector<VectorObject>& objects,
 }
 
 Status EncryptionClient::Delete(const metric::VectorObject& object) {
-  // The routing permutation is derived exactly as the insert derived it
-  // (both strategies route by the permutation of the transformed
-  // distances), so the delete reaches the same cell.
-  std::vector<float> distances =
-      ComputePivotDistances(object, /*apply_transform=*/true);
-  const mindex::Permutation permutation =
-      mindex::DistancesToPermutation(distances);
-  const Bytes request = EncodeDeleteRequest(object.id(), permutation);
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, transport_->Call(request));
-  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t deleted, DecodeInsertResponse(response));
-  if (deleted != 1) {
-    return Status::Internal("server acknowledged an unexpected delete count");
-  }
-  return Status::OK();
+  return DeleteBatch({object}, 1);
 }
 
 Status EncryptionClient::DeleteBatch(
@@ -126,6 +113,9 @@ Status EncryptionClient::DeleteBatch(
     std::vector<DeleteItem> items;
     items.reserve(batch);
     for (size_t i = 0; i < batch; ++i) {
+      // The routing permutation is derived exactly as the insert derived
+      // it (both strategies route by the permutation of the transformed
+      // distances), so the delete reaches the same cell.
       const VectorObject& object = objects[offset + i];
       std::vector<float> distances =
           ComputePivotDistances(object, /*apply_transform=*/true);

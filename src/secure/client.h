@@ -234,10 +234,10 @@ class EncryptionClient {
   Status InsertBulk(const std::vector<metric::VectorObject>& objects,
                     InsertStrategy strategy, size_t bulk_size = 1000);
 
-  /// Deletes one object. The client recomputes the routing permutation
-  /// from the object and its secret pivots, so the request carries no
-  /// more information than the original insert did. NotFound if the
-  /// object is not indexed.
+  /// Deletes one object: DeleteBatch with a batch of one. The client
+  /// recomputes the routing permutation from the object and its secret
+  /// pivots, so the request carries no more information than the
+  /// original insert did. NotFound if the object is not indexed.
   Status Delete(const metric::VectorObject& object);
 
   /// Deletes objects in bulks of `bulk_size` (kDeleteBatch, the mirror of

@@ -59,12 +59,64 @@ void WriteQuerySignature(BinaryWriter* writer,
   writer->WriteBool(query.whole_cells);
 }
 
-Result<mindex::QuerySignature> ReadQuerySignature(BinaryReader* reader) {
-  mindex::QuerySignature query;
+// Item readers shared by the single opcodes and their batch forms.
+Result<mindex::RangeQuery> ReadRangeQuery(BinaryReader* reader) {
+  mindex::RangeQuery query;
   SIMCLOUD_ASSIGN_OR_RETURN(query.pivot_distances, reader->ReadFloatVector());
-  SIMCLOUD_ASSIGN_OR_RETURN(query.permutation, reader->ReadU32Vector());
-  SIMCLOUD_ASSIGN_OR_RETURN(query.whole_cells, reader->ReadBool());
+  SIMCLOUD_ASSIGN_OR_RETURN(query.radius, reader->ReadDouble());
   return query;
+}
+
+Result<mindex::KnnQuery> ReadKnnQuery(BinaryReader* reader) {
+  mindex::KnnQuery query;
+  mindex::QuerySignature& signature = query.signature;
+  SIMCLOUD_ASSIGN_OR_RETURN(signature.pivot_distances,
+                            reader->ReadFloatVector());
+  SIMCLOUD_ASSIGN_OR_RETURN(signature.permutation, reader->ReadU32Vector());
+  SIMCLOUD_ASSIGN_OR_RETURN(signature.whole_cells, reader->ReadBool());
+  SIMCLOUD_ASSIGN_OR_RETURN(query.cand_size, reader->ReadVarint());
+  return query;
+}
+
+Result<DeleteItem> ReadDeleteItem(BinaryReader* reader) {
+  DeleteItem item;
+  SIMCLOUD_ASSIGN_OR_RETURN(item.id, reader->ReadVarint());
+  SIMCLOUD_ASSIGN_OR_RETURN(item.permutation, reader->ReadU32Vector());
+  return item;
+}
+
+/// Item count of a query or delete request. A single opcode carries one
+/// bare item; a batch opcode carries a count, rejected past
+/// kMaxBatchQueries before any item is read.
+Result<uint64_t> ReadItemCount(BinaryReader* reader, Op op) {
+  if (op == Op::kRangeSearch || op == Op::kApproxKnn || op == Op::kDelete ||
+      op == Op::kRangeSearchCursor) {
+    return 1;
+  }
+  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t count, reader->ReadVarint());
+  if (count > kMaxBatchQueries) {
+    const bool deletes = op == Op::kDeleteBatch;
+    return Status::InvalidArgument(
+        "batch of " + std::to_string(count) +
+        (deletes ? " deletes" : " queries") + " exceeds the " +
+        std::to_string(kMaxBatchQueries) + (deletes ? "-item" : "-query") +
+        " limit");
+  }
+  return count;
+}
+
+/// Reads a request's items with `read_item`: a single opcode decodes as a
+/// batch of one into the vector its batch opcode fills.
+template <typename T, typename ReadItem>
+Status ReadItems(BinaryReader* reader, Op op, ReadItem read_item,
+                 std::vector<T>* items) {
+  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t count, ReadItemCount(reader, op));
+  items->reserve(reader->BoundedCount(count));
+  for (uint64_t i = 0; i < count; ++i) {
+    SIMCLOUD_ASSIGN_OR_RETURN(T item, read_item(reader));
+    items->push_back(std::move(item));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -317,75 +369,23 @@ Result<Request> DecodeRequest(const Bytes& data) {
       }
       return request;
     }
-    case Op::kRangeSearch: {
-      SIMCLOUD_ASSIGN_OR_RETURN(request.query_distances,
-                                reader.ReadFloatVector());
-      SIMCLOUD_ASSIGN_OR_RETURN(request.radius, reader.ReadDouble());
-      return request;
-    }
-    case Op::kApproxKnn: {
-      SIMCLOUD_ASSIGN_OR_RETURN(request.query, ReadQuerySignature(&reader));
-      SIMCLOUD_ASSIGN_OR_RETURN(request.cand_size, reader.ReadVarint());
-      return request;
-    }
     case Op::kGetStats:
       return request;
-    case Op::kDelete: {
-      SIMCLOUD_ASSIGN_OR_RETURN(request.delete_id, reader.ReadVarint());
-      SIMCLOUD_ASSIGN_OR_RETURN(request.delete_permutation,
-                                reader.ReadU32Vector());
+    case Op::kRangeSearch:
+    case Op::kRangeSearchBatch:
+      SIMCLOUD_RETURN_NOT_OK(ReadItems(&reader, request.op, ReadRangeQuery,
+                                       &request.range_queries));
       return request;
-    }
-    case Op::kRangeSearchBatch: {
-      SIMCLOUD_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-      if (count > kMaxBatchQueries) {
-        return Status::InvalidArgument(
-            "batch of " + std::to_string(count) + " queries exceeds the " +
-            std::to_string(kMaxBatchQueries) + "-query limit");
-      }
-      request.range_queries.reserve(reader.BoundedCount(count));
-      for (uint64_t i = 0; i < count; ++i) {
-        mindex::RangeQuery query;
-        SIMCLOUD_ASSIGN_OR_RETURN(query.pivot_distances,
-                                  reader.ReadFloatVector());
-        SIMCLOUD_ASSIGN_OR_RETURN(query.radius, reader.ReadDouble());
-        request.range_queries.push_back(std::move(query));
-      }
+    case Op::kApproxKnn:
+    case Op::kApproxKnnBatch:
+      SIMCLOUD_RETURN_NOT_OK(ReadItems(&reader, request.op, ReadKnnQuery,
+                                       &request.knn_queries));
       return request;
-    }
-    case Op::kApproxKnnBatch: {
-      SIMCLOUD_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-      if (count > kMaxBatchQueries) {
-        return Status::InvalidArgument(
-            "batch of " + std::to_string(count) + " queries exceeds the " +
-            std::to_string(kMaxBatchQueries) + "-query limit");
-      }
-      request.knn_queries.reserve(reader.BoundedCount(count));
-      for (uint64_t i = 0; i < count; ++i) {
-        mindex::KnnQuery query;
-        SIMCLOUD_ASSIGN_OR_RETURN(query.signature,
-                                  ReadQuerySignature(&reader));
-        SIMCLOUD_ASSIGN_OR_RETURN(query.cand_size, reader.ReadVarint());
-        request.knn_queries.push_back(std::move(query));
-      }
+    case Op::kDelete:
+    case Op::kDeleteBatch:
+      SIMCLOUD_RETURN_NOT_OK(ReadItems(&reader, request.op, ReadDeleteItem,
+                                       &request.delete_items));
       return request;
-    }
-    case Op::kDeleteBatch: {
-      SIMCLOUD_ASSIGN_OR_RETURN(uint64_t count, reader.ReadVarint());
-      if (count > kMaxBatchQueries) {
-        return Status::InvalidArgument(
-            "batch of " + std::to_string(count) + " deletes exceeds the " +
-            std::to_string(kMaxBatchQueries) + "-item limit");
-      }
-      request.delete_items.reserve(reader.BoundedCount(count));
-      for (uint64_t i = 0; i < count; ++i) {
-        DeleteItem item;
-        SIMCLOUD_ASSIGN_OR_RETURN(item.id, reader.ReadVarint());
-        SIMCLOUD_ASSIGN_OR_RETURN(item.permutation, reader.ReadU32Vector());
-        request.delete_items.push_back(std::move(item));
-      }
-      return request;
-    }
     case Op::kCompact: {
       SIMCLOUD_ASSIGN_OR_RETURN(request.compact_force, reader.ReadBool());
       return request;
@@ -424,9 +424,8 @@ Result<Request> DecodeRequest(const Bytes& data) {
       return request;
     }
     case Op::kRangeSearchCursor: {
-      SIMCLOUD_ASSIGN_OR_RETURN(request.query_distances,
-                                reader.ReadFloatVector());
-      SIMCLOUD_ASSIGN_OR_RETURN(request.radius, reader.ReadDouble());
+      SIMCLOUD_RETURN_NOT_OK(ReadItems(&reader, request.op, ReadRangeQuery,
+                                       &request.range_queries));
       SIMCLOUD_ASSIGN_OR_RETURN(request.cursor_page_size, reader.ReadVarint());
       SIMCLOUD_ASSIGN_OR_RETURN(request.cursor_start_offset,
                                 reader.ReadVarint());
@@ -529,6 +528,14 @@ Result<BatchCandidateResponse> DecodeBatchCandidateResponse(
     response.batch.per_query.push_back(std::move(refs));
   }
   return response;
+}
+
+Bytes EncodeSearchResponse(Op op, mindex::BatchCandidates batch,
+                           const std::vector<mindex::SearchStats>& stats) {
+  if (op == Op::kRangeSearch || op == Op::kApproxKnn) {
+    return EncodeCandidateResponse(batch.TakeOnlyQuery(), stats[0]);
+  }
+  return EncodeBatchCandidateResponse(batch, stats);
 }
 
 Bytes EncodeInsertResponse(uint64_t inserted) {

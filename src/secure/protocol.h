@@ -173,25 +173,21 @@ struct CursorPage {
 Bytes EncodeCursorPage(const CursorPage& page);
 Result<CursorPage> DecodeCursorPage(const Bytes& data);
 
-/// Decoded request (server side).
+/// Decoded request (server side). A single query or delete opcode decodes
+/// as a batch of one into the vector its batch opcode fills; `op` still
+/// selects the response format.
 struct Request {
   Op op;
-  std::vector<InsertItem> insert_items;      // kInsertBatch
-  std::vector<float> query_distances;        // kRangeSearch
-  double radius = 0;                         // kRangeSearch
-  mindex::QuerySignature query;              // kApproxKnn
-  uint64_t cand_size = 0;                    // kApproxKnn
-  metric::ObjectId delete_id = 0;            // kDelete
-  mindex::Permutation delete_permutation;    // kDelete
-  std::vector<mindex::RangeQuery> range_queries;  // kRangeSearchBatch
-  std::vector<mindex::KnnQuery> knn_queries;      // kApproxKnnBatch
-  std::vector<DeleteItem> delete_items;           // kDeleteBatch
-  bool compact_force = false;                     // kCompact
-  WatchFilter watch_filter;                       // kWatch
-  std::vector<uint64_t> watch_resume_token;       // kWatch (empty = fresh)
-  uint64_t watch_cancel_id = 0;                   // kWatchCancel
-  uint64_t cursor_page_size = 0;     // kRangeSearchCursor (query fields
-                                     // reuse query_distances / radius)
+  std::vector<InsertItem> insert_items;  // kInsertBatch
+  // kRangeSearch / kRangeSearchCursor (one query), kRangeSearchBatch
+  std::vector<mindex::RangeQuery> range_queries;
+  std::vector<mindex::KnnQuery> knn_queries;  // kApproxKnn (one), batch
+  std::vector<DeleteItem> delete_items;       // kDelete (one), kDeleteBatch
+  bool compact_force = false;                 // kCompact
+  WatchFilter watch_filter;                   // kWatch
+  std::vector<uint64_t> watch_resume_token;   // kWatch (empty = fresh)
+  uint64_t watch_cancel_id = 0;               // kWatchCancel
+  uint64_t cursor_page_size = 0;     // kRangeSearchCursor
   uint64_t cursor_start_offset = 0;  // kRangeSearchCursor (failover reopen)
   uint64_t cursor_id = 0;            // kCursorNext / kCursorClose
 };
@@ -225,6 +221,12 @@ struct BatchCandidateResponse {
   }
 };
 Result<BatchCandidateResponse> DecodeBatchCandidateResponse(const Bytes& data);
+
+/// A range or k-NN answer in its opcode's format: a single-query opcode (a
+/// batch of one) gets EncodeCandidateResponse of its query, payloads
+/// moved out of `batch`; a batch opcode gets EncodeBatchCandidateResponse.
+Bytes EncodeSearchResponse(Op op, mindex::BatchCandidates batch,
+                           const std::vector<mindex::SearchStats>& stats);
 
 /// Insert acknowledgement.
 Bytes EncodeInsertResponse(uint64_t inserted);

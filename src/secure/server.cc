@@ -89,12 +89,6 @@ void EncryptedMIndexServer::CompactionLoop() {
 }
 
 void EncryptedMIndexServer::AccumulateStats(
-    const mindex::SearchStats& stats) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  total_stats_.Add(stats);
-}
-
-void EncryptedMIndexServer::AccumulateStatsBatch(
     const std::vector<mindex::SearchStats>& stats) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   for (const auto& entry : stats) total_stats_.Add(entry);
@@ -163,8 +157,9 @@ Result<Bytes> EncryptedMIndexServer::HandleRangeSearchCursor(
     std::shared_lock<std::shared_mutex> lock(index_mutex_);
     SIMCLOUD_ASSIGN_OR_RETURN(
         cursor->ranked,
-        index_->RangeSearchRankedCandidates(request.query_distances,
-                                            request.radius, &stats));
+        index_->RangeSearchRankedCandidates(
+            request.range_queries[0].pivot_distances,
+            request.range_queries[0].radius, &stats));
     // A compaction pass cannot complete (swap+remap is exclusive) while
     // the shared lock is held, so snapshot + pass count are consistent.
     cursor->compaction_passes = index_->compaction_passes();
@@ -175,7 +170,7 @@ Result<Bytes> EncryptedMIndexServer::HandleRangeSearchCursor(
         index_->MaterializeRankedPage(cursor->ranked, &cursor->next,
                                       page_size));
   }
-  AccumulateStats(stats);
+  AccumulateStats({stats});
   page.total = cursor->ranked.size();
   page.stats = stats;  // full collection stats, candidates = total
   if (cursor->next >= cursor->ranked.size()) {
@@ -227,23 +222,12 @@ Result<Bytes> EncryptedMIndexServer::HandleStream(const Bytes& request_bytes,
                                                   net::StreamContext* stream) {
   SIMCLOUD_ASSIGN_OR_RETURN(Request request, DecodeRequest(request_bytes));
   if (obs::TraceSpan* span = obs::TraceSpan::Current()) {
-    // Batch size annotates the slow-query line; single-item ops leave 0.
-    switch (request.op) {
-      case Op::kInsertBatch:
-        span->set_batch_size(request.insert_items.size());
-        break;
-      case Op::kRangeSearchBatch:
-        span->set_batch_size(request.range_queries.size());
-        break;
-      case Op::kApproxKnnBatch:
-        span->set_batch_size(request.knn_queries.size());
-        break;
-      case Op::kDeleteBatch:
-        span->set_batch_size(request.delete_items.size());
-        break;
-      default:
-        break;
-    }
+    // Batch size annotates the slow-query line: at most one item vector
+    // is filled, and a single query or delete is a batch of one.
+    span->set_batch_size(request.insert_items.size() +
+                         request.range_queries.size() +
+                         request.knn_queries.size() +
+                         request.delete_items.size());
   }
   switch (request.op) {
     case Op::kInsertBatch: {
@@ -253,28 +237,7 @@ Result<Bytes> EncryptedMIndexServer::HandleStream(const Bytes& request_bytes,
           index_->InsertBatch(std::move(request.insert_items)));
       return EncodeInsertResponse(count);
     }
-    case Op::kRangeSearch: {
-      std::shared_lock<std::shared_mutex> lock(index_mutex_);
-      mindex::SearchStats stats;
-      SIMCLOUD_ASSIGN_OR_RETURN(
-          mindex::CandidateList candidates,
-          index_->RangeSearchCandidates(request.query_distances,
-                                        request.radius, &stats));
-      lock.unlock();
-      AccumulateStats(stats);
-      return EncodeCandidateResponse(candidates, stats);
-    }
-    case Op::kApproxKnn: {
-      std::shared_lock<std::shared_mutex> lock(index_mutex_);
-      mindex::SearchStats stats;
-      SIMCLOUD_ASSIGN_OR_RETURN(
-          mindex::CandidateList candidates,
-          index_->ApproxKnnCandidates(request.query, request.cand_size,
-                                      &stats));
-      lock.unlock();
-      AccumulateStats(stats);
-      return EncodeCandidateResponse(candidates, stats);
-    }
+    case Op::kRangeSearch:
     case Op::kRangeSearchBatch: {
       // The shared lock is taken once for the whole batch: the queries
       // share one tree traversal and one payload fetch inside the index.
@@ -284,9 +247,10 @@ Result<Bytes> EncryptedMIndexServer::HandleStream(const Bytes& request_bytes,
           mindex::BatchCandidates batch,
           index_->RangeSearchBatchCandidates(request.range_queries, &stats));
       lock.unlock();
-      AccumulateStatsBatch(stats);
-      return EncodeBatchCandidateResponse(batch, stats);
+      AccumulateStats(stats);
+      return EncodeSearchResponse(request.op, std::move(batch), stats);
     }
+    case Op::kApproxKnn:
     case Op::kApproxKnnBatch: {
       std::shared_lock<std::shared_mutex> lock(index_mutex_);
       std::vector<mindex::SearchStats> stats;
@@ -294,8 +258,8 @@ Result<Bytes> EncryptedMIndexServer::HandleStream(const Bytes& request_bytes,
           mindex::BatchCandidates batch,
           index_->ApproxKnnBatchCandidates(request.knn_queries, &stats));
       lock.unlock();
-      AccumulateStatsBatch(stats);
-      return EncodeBatchCandidateResponse(batch, stats);
+      AccumulateStats(stats);
+      return EncodeSearchResponse(request.op, std::move(batch), stats);
     }
     case Op::kGetStats: {
       mindex::IndexStats stats;
@@ -310,15 +274,7 @@ Result<Bytes> EncryptedMIndexServer::HandleStream(const Bytes& request_bytes,
       stats.cursors_reaped_total = cursor_counters.reaped_total;
       return EncodeStatsResponse(stats);
     }
-    case Op::kDelete: {
-      {
-        std::unique_lock<std::shared_mutex> lock(index_mutex_);
-        SIMCLOUD_RETURN_NOT_OK(index_->Delete(request.delete_id, {},
-                                              request.delete_permutation));
-      }
-      MaybeKickCompaction();
-      return EncodeInsertResponse(1);
-    }
+    case Op::kDelete:
     case Op::kDeleteBatch: {
       // One exclusive lock for the whole batch; the index frees every
       // dead payload handle in one pass and evaluates the compaction
@@ -335,6 +291,11 @@ Result<Bytes> EncryptedMIndexServer::HandleStream(const Bytes& request_bytes,
         SIMCLOUD_ASSIGN_OR_RETURN(deleted, index_->DeleteBatch(deletions));
       }
       MaybeKickCompaction();
+      if (request.op == Op::kDelete && deleted == 0) {
+        // The single opcode answers 1 or NotFound, as MIndex::Delete does.
+        return Status::NotFound("object " + std::to_string(deletions[0].id) +
+                                " is not indexed");
+      }
       return EncodeInsertResponse(deleted);
     }
     case Op::kCompact: {

@@ -98,9 +98,8 @@ class EncryptedMIndexServer : public net::RequestHandler {
     uint64_t compaction_passes = 0;
   };
 
-  void AccumulateStats(const mindex::SearchStats& stats);
   /// One lock acquisition for a whole batch of per-query stats.
-  void AccumulateStatsBatch(const std::vector<mindex::SearchStats>& stats);
+  void AccumulateStats(const std::vector<mindex::SearchStats>& stats);
 
   /// Wakes the background thread if the garbage ratio passed the trigger
   /// (called after mutations, without the index lock held).

@@ -355,48 +355,8 @@ Result<uint64_t> ShardedServer::ScatterCounted(
   return count;
 }
 
-namespace {
-
-/// Merges one query's per-shard results: concatenated candidates sorted
-/// by score (stable across shard order), trimmed to `limit` when > 0.
-void MergeShardResults(std::vector<CandidateResponse>&& shard_results,
-                       size_t limit, mindex::CandidateList* merged,
-                       mindex::SearchStats* stats) {
-  for (auto& decoded : shard_results) {
-    stats->Add(decoded.stats);
-    for (auto& candidate : decoded.candidates) {
-      merged->push_back(std::move(candidate));
-    }
-  }
-  std::stable_sort(merged->begin(), merged->end(),
-                   [](const mindex::Candidate& a, const mindex::Candidate& b) {
-                     return a.score < b.score;
-                   });
-  if (limit > 0 && merged->size() > limit) merged->resize(limit);
-  stats->candidates = merged->size();
-}
-
-}  // namespace
-
-Result<Bytes> ShardedServer::FanOut(const Bytes& request, size_t limit) {
-  std::vector<Result<Bytes>> responses = CallAllShards(request);
-
-  std::vector<CandidateResponse> shard_results;
-  shard_results.reserve(responses.size());
-  for (const auto& response : responses) {
-    SIMCLOUD_RETURN_NOT_OK(response.status());
-    SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse decoded,
-                              DecodeCandidateResponse(*response));
-    shard_results.push_back(std::move(decoded));
-  }
-  mindex::CandidateList merged;
-  mindex::SearchStats stats;
-  MergeShardResults(std::move(shard_results), limit, &merged, &stats);
-  return EncodeCandidateResponse(merged, stats);
-}
-
-Result<Bytes> ShardedServer::FanOutBatch(const Bytes& request,
-                                         const std::vector<size_t>& limits) {
+Result<BatchCandidateResponse> ShardedServer::FanOutBatch(
+    const Bytes& request, const std::vector<size_t>& limits) {
   std::vector<Result<Bytes>> responses = CallAllShards(request);
 
   std::vector<BatchCandidateResponse> decoded;
@@ -430,13 +390,13 @@ Result<Bytes> ShardedServer::FanOutBatch(const Bytes& request,
     }
   }
 
-  mindex::BatchCandidates merged;
-  merged.per_query.resize(limits.size());
-  std::vector<mindex::SearchStats> stats(limits.size());
+  BatchCandidateResponse merged;
+  merged.batch.per_query.resize(limits.size());
+  merged.stats.resize(limits.size());
   for (size_t q = 0; q < limits.size(); ++q) {
-    std::vector<mindex::BatchCandidateRef>& refs = merged.per_query[q];
+    std::vector<mindex::BatchCandidateRef>& refs = merged.batch.per_query[q];
     for (size_t s = 0; s < decoded.size(); ++s) {
-      stats[q].Add(decoded[s].stats[q]);
+      merged.stats[q].Add(decoded[s].stats[q]);
       for (const auto& ref : decoded[s].batch.per_query[q]) {
         refs.push_back(mindex::BatchCandidateRef{
             ref.id, ref.score, ref.payload_index + shard_offset[s]});
@@ -448,23 +408,23 @@ Result<Bytes> ShardedServer::FanOutBatch(const Bytes& request,
                        return a.score < b.score;
                      });
     if (limits[q] > 0 && refs.size() > limits[q]) refs.resize(limits[q]);
-    stats[q].candidates = refs.size();
+    merged.stats[q].candidates = refs.size();
   }
 
   // Compact the dictionary to payloads that survived trimming.
   constexpr uint32_t kUnmapped = ~0u;
   std::vector<uint32_t> remap(total_payloads, kUnmapped);
-  for (auto& refs : merged.per_query) {
+  for (auto& refs : merged.batch.per_query) {
     for (auto& ref : refs) {
       if (remap[ref.payload_index] == kUnmapped) {
         remap[ref.payload_index] =
-            static_cast<uint32_t>(merged.payloads.size());
-        merged.payloads.push_back(std::move(*flat[ref.payload_index]));
+            static_cast<uint32_t>(merged.batch.payloads.size());
+        merged.batch.payloads.push_back(std::move(*flat[ref.payload_index]));
       }
       ref.payload_index = remap[ref.payload_index];
     }
   }
-  return EncodeBatchCandidateResponse(merged, stats);
+  return merged;
 }
 
 Result<Bytes> ShardedServer::Handle(const Bytes& request_bytes) {
@@ -493,21 +453,22 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
       return EncodeInsertResponse(inserted);
     }
     case Op::kRangeSearch:
+    case Op::kRangeSearchBatch: {
       // Every shard prunes its own subtrees; the union of the per-shard
       // candidate supersets is a superset for the whole collection.
-      return FanOut(request_bytes, /*limit=*/0);
+      std::vector<size_t> limits(request.range_queries.size(), 0);
+      SIMCLOUD_ASSIGN_OR_RETURN(
+          BatchCandidateResponse merged,
+          FanOutBatch(EncodeRangeSearchBatchRequest(request.range_queries),
+                      limits));
+      return EncodeSearchResponse(request.op, std::move(merged.batch),
+                                  merged.stats);
+    }
     case Op::kApproxKnn:
+    case Op::kApproxKnnBatch: {
       // Each shard contributes up to the full budget; the merge keeps
       // the globally best-ranked cand_size candidates. Whole-cell
       // queries return the union of per-shard best cells untrimmed.
-      return FanOut(request_bytes,
-                    request.query.whole_cells ? 0 : request.cand_size);
-    case Op::kRangeSearchBatch: {
-      // One fan-out carries every query to every shard.
-      std::vector<size_t> limits(request.range_queries.size(), 0);
-      return FanOutBatch(request_bytes, limits);
-    }
-    case Op::kApproxKnnBatch: {
       std::vector<size_t> limits(request.knn_queries.size());
       for (size_t q = 0; q < request.knn_queries.size(); ++q) {
         limits[q] = request.knn_queries[q].signature.whole_cells
@@ -515,7 +476,12 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
                         : static_cast<size_t>(
                               request.knn_queries[q].cand_size);
       }
-      return FanOutBatch(request_bytes, limits);
+      SIMCLOUD_ASSIGN_OR_RETURN(
+          BatchCandidateResponse merged,
+          FanOutBatch(EncodeApproxKnnBatchRequest(request.knn_queries),
+                      limits));
+      return EncodeSearchResponse(request.op, std::move(merged.batch),
+                                  merged.stats);
     }
     case Op::kGetStats: {
       std::vector<Result<Bytes>> responses =
@@ -585,8 +551,6 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
       return EncodeStatsResponse(total);
     }
     case Op::kDelete:
-      return channels_[OwnerOf(request.delete_permutation)]->Call(
-          request_bytes);
     case Op::kDeleteBatch: {
       // Validate the WHOLE batch before forwarding anything: a malformed
       // item must reject the batch with no shard mutated, matching the
@@ -612,6 +576,10 @@ Result<Bytes> ShardedServer::HandleStream(const Bytes& request_bytes,
       }
       SIMCLOUD_ASSIGN_OR_RETURN(uint64_t deleted,
                                 ScatterCounted(sub_requests));
+      if (request.op == Op::kDelete && deleted == 0) {
+        // The single opcode answers 1 or NotFound, as a single shard does.
+        return Status::NotFound("object is not indexed");
+      }
       return EncodeInsertResponse(deleted);
     }
     case Op::kCompact: {
@@ -984,7 +952,7 @@ Result<Bytes> ShardedServer::HandleWatchCancel(const Request& request) {
 Status ShardedServer::OpenCursorLeg(CompositeCursor* cursor, size_t shard,
                                     uint64_t start_offset) {
   const Bytes request = EncodeRangeSearchCursorRequest(
-      cursor->query_distances, cursor->radius, cursor->page_size,
+      cursor->query.pivot_distances, cursor->query.radius, cursor->page_size,
       start_offset);
   CursorLeg& leg = cursor->legs[shard];
   Result<Bytes> response = Status::NetworkError("no live replica");
@@ -1156,8 +1124,7 @@ Result<Bytes> ShardedServer::HandleRangeSearchCursor(
       std::min(request.cursor_page_size, cursors_.config().max_page_size);
 
   auto cursor = std::make_shared<CompositeCursor>();
-  cursor->query_distances = request.query_distances;
-  cursor->radius = request.radius;
+  cursor->query = request.range_queries[0];
   cursor->page_size = page_size;
   cursor->legs.resize(channels_.size());
   for (size_t s = 0; s < channels_.size(); ++s) {
@@ -1194,7 +1161,7 @@ Result<Bytes> ShardedServer::HandleRangeSearchCursor(
   }
   page.candidates = std::move(*merged);
   // The open page carries the summed fan-out stats, candidates pinned to
-  // the merged total — exactly what MergeShardResults reports one-shot.
+  // the merged total — exactly what the one-shot merge (FanOutBatch) reports.
   page.stats = cursor->stats;
   page.stats.candidates = cursor->total;
 

@@ -194,21 +194,17 @@ class ShardedServer : public net::RequestHandler {
   /// Objects of one top-level Voronoi cell always land together.
   size_t OwnerOf(const mindex::Permutation& permutation) const;
 
-  /// Runs the request on every shard (overlapped) and concatenates the
-  /// candidate responses (merged stats), trimming to `limit` by score
-  /// when limit > 0.
-  Result<Bytes> FanOut(const Bytes& request, size_t limit);
-
-  /// Batch variant: ONE fan-out carries the whole batch; each shard
-  /// evaluates every query, then the per-query candidate lists are
-  /// merged by score across shards and trimmed to `limits[q]` (0 = no
-  /// trim), exactly like `limits.size()` FanOut calls would.
-  Result<Bytes> FanOutBatch(const Bytes& request,
-                            const std::vector<size_t>& limits);
+  /// Runs a range or k-NN batch request on every shard (ONE overlapped
+  /// fan-out for the whole batch); the per-query candidate lists are
+  /// merged by score across shards (stable in shard order) and trimmed to
+  /// `limits[q]` (0 = no trim). A single-query opcode arrives here as a
+  /// batch of one; the caller picks the response encoding.
+  Result<BatchCandidateResponse> FanOutBatch(
+      const Bytes& request, const std::vector<size_t>& limits);
 
   /// Submits the request to every shard, then collects: all shards work
-  /// concurrently while this thread waits (shared by FanOut / FanOutBatch
-  /// / stats / compaction).
+  /// concurrently while this thread waits (shared by FanOutBatch / stats
+  /// / compaction).
   std::vector<Result<Bytes>> CallAllShards(const Bytes& request) const;
 
   /// Submits per-shard sub-requests (empty entries are skipped), collects
@@ -264,8 +260,7 @@ class ShardedServer : public net::RequestHandler {
   /// failover reopens) and one leg per shard. The k-way merge pulls a
   /// shard's next page only when that shard's buffered head is consumed.
   struct CompositeCursor {
-    std::vector<float> query_distances;
-    double radius = 0;
+    mindex::RangeQuery query;
     uint64_t page_size = 0;
     uint64_t total = 0;  ///< sum of per-shard ranked totals at open
     /// Summed per-shard collection stats from the leg opens: the open

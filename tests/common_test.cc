@@ -463,7 +463,7 @@ TEST(ClockTest, ScopedTimerAccumulates) {
   {
     ScopedTimer timer(&acc, "work");
     volatile int x = 0;
-    for (int i = 0; i < 1000; ++i) x += i;
+    for (int i = 0; i < 1000; ++i) x = x + i;
   }
   EXPECT_GT(acc.durations_nanos().at("work"), 0);
 }

@@ -75,6 +75,44 @@ TEST(IntegrationTest, EncryptedSearchOverRealTcp) {
   server.Stop();
 }
 
+// Deleting an object that is not indexed is NotFound over a real TCP
+// connection too, as EncryptionClient::Delete documents, not a remote
+// error.
+TEST(IntegrationTest, DeleteOfMissingObjectIsNotFoundOverTcp) {
+  auto dataset = MakeDataset(4);
+  auto pivots = mindex::PivotSet::SelectRandom(dataset.objects(), 8, 5);
+  ASSERT_TRUE(pivots.ok());
+  auto key = secure::SecretKey::Create(std::move(pivots).value(),
+                                       Bytes(16, 0x12));
+  ASSERT_TRUE(key.ok());
+
+  mindex::MIndexOptions options;
+  options.num_pivots = 8;
+  options.bucket_capacity = 40;
+  options.max_level = 4;
+  auto server_handler = secure::EncryptedMIndexServer::Create(options);
+  ASSERT_TRUE(server_handler.ok());
+  net::TcpServer server(server_handler->get());
+  ASSERT_TRUE(server.Start(0).ok());
+  auto transport = net::TcpTransport::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(transport.ok());
+
+  secure::EncryptionClient client(*key, dataset.distance(), transport->get());
+  const std::vector<VectorObject> indexed(dataset.objects().begin(),
+                                          dataset.objects().begin() + 100);
+  ASSERT_TRUE(
+      client.InsertBulk(indexed, secure::InsertStrategy::kPrecise).ok());
+
+  const VectorObject& victim = indexed[17];
+  ASSERT_TRUE(client.Delete(victim).ok());
+  Status again = client.Delete(victim);
+  EXPECT_EQ(again.code(), StatusCode::kNotFound) << again.ToString();
+  Status never = client.Delete(dataset.objects()[300]);
+  EXPECT_EQ(never.code(), StatusCode::kNotFound) << never.ToString();
+  EXPECT_EQ(server_handler->get()->index().size(), indexed.size() - 1);
+  server.Stop();
+}
+
 TEST(IntegrationTest, EncryptedAndPlainAgreeOnTheSameWorkload) {
   // The encrypted index and the plain index implement the same search
   // semantics; given the same pivots, parameters, and candidate budget,

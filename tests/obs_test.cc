@@ -602,8 +602,11 @@ TEST(GetMetricsCluster, SecureShardedScrapeEndToEndUnderChurn) {
   const obs::MetricsSnapshot& metrics = *final_scrape;
 
   // Per-opcode accounting reached the shard registries over secure TCP.
+  // The facade forwards every search, single or batched, to its shards as
+  // a batch request, so the querier's single range searches arrive there
+  // as range_search_batch.
   const uint64_t* searches =
-      metrics.counter("simcloud_requests_total{op=\"range_search\"}");
+      metrics.counter("simcloud_requests_total{op=\"range_search_batch\"}");
   ASSERT_NE(searches, nullptr);
   EXPECT_GT(*searches, 0u);
   const uint64_t* scrapes =
@@ -643,7 +646,7 @@ TEST(GetMetricsCluster, SecureShardedScrapeEndToEndUnderChurn) {
 
   // Latency histograms are well-formed: quantiles are monotone.
   const obs::HistogramSnapshot* latency = metrics.histogram(
-      "simcloud_request_nanos{op=\"range_search\"}");
+      "simcloud_request_nanos{op=\"range_search_batch\"}");
   ASSERT_NE(latency, nullptr);
   EXPECT_GT(latency->count, 0u);
   EXPECT_LE(latency->Quantile(0.5), latency->Quantile(0.99));

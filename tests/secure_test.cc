@@ -290,24 +290,105 @@ TEST(ProtocolTest, SearchRequestsRoundTrip) {
   auto range = DecodeRequest(EncodeRangeSearchRequest({3.0f, 4.0f}, 2.5));
   ASSERT_TRUE(range.ok());
   EXPECT_EQ(range->op, Op::kRangeSearch);
-  EXPECT_EQ(range->query_distances, std::vector<float>({3.0f, 4.0f}));
-  EXPECT_DOUBLE_EQ(range->radius, 2.5);
+  ASSERT_EQ(range->range_queries.size(), 1u);
+  EXPECT_EQ(range->range_queries[0].pivot_distances,
+            std::vector<float>({3.0f, 4.0f}));
+  EXPECT_DOUBLE_EQ(range->range_queries[0].radius, 2.5);
 
   mindex::QuerySignature signature;
   signature.permutation = {2, 0, 1};
   auto knn = DecodeRequest(EncodeApproxKnnRequest(signature, 150));
   ASSERT_TRUE(knn.ok());
   EXPECT_EQ(knn->op, Op::kApproxKnn);
-  EXPECT_EQ(knn->query.permutation, mindex::Permutation({2, 0, 1}));
-  EXPECT_EQ(knn->cand_size, 150u);
+  ASSERT_EQ(knn->knn_queries.size(), 1u);
+  EXPECT_EQ(knn->knn_queries[0].signature.permutation,
+            mindex::Permutation({2, 0, 1}));
+  EXPECT_EQ(knn->knn_queries[0].cand_size, 150u);
 }
 
 TEST(ProtocolTest, DeleteRequestRoundTrip) {
   auto request = DecodeRequest(EncodeDeleteRequest(42, {3, 1, 0, 2}));
   ASSERT_TRUE(request.ok());
   EXPECT_EQ(request->op, Op::kDelete);
-  EXPECT_EQ(request->delete_id, 42u);
-  EXPECT_EQ(request->delete_permutation, mindex::Permutation({3, 1, 0, 2}));
+  ASSERT_EQ(request->delete_items.size(), 1u);
+  EXPECT_EQ(request->delete_items[0].id, 42u);
+  EXPECT_EQ(request->delete_items[0].permutation,
+            mindex::Permutation({3, 1, 0, 2}));
+}
+
+// A single query or delete opcode decodes into exactly the one-item
+// vector its batch opcode decodes into; only `op` differs.
+TEST(ProtocolTest, SingleOpcodesDecodeAsBatchesOfOne) {
+  Rng rng(2207);
+  auto random_distances = [&rng](size_t count) {
+    std::vector<float> distances(count);
+    for (float& d : distances) d = rng.NextFloat() * 100.0f;
+    return distances;
+  };
+  auto random_permutation = [&rng](size_t count) {
+    mindex::Permutation permutation(count);
+    for (size_t i = 0; i < count; ++i) {
+      permutation[i] = static_cast<uint32_t>(i);
+    }
+    rng.Shuffle(permutation);
+    return permutation;
+  };
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t pivots = 1 + rng.NextBounded(40);
+
+    mindex::RangeQuery range{random_distances(pivots),
+                             rng.NextUniform(0.0, 50.0)};
+    auto single_range = DecodeRequest(
+        EncodeRangeSearchRequest(range.pivot_distances, range.radius));
+    auto batch_range = DecodeRequest(EncodeRangeSearchBatchRequest({range}));
+    ASSERT_TRUE(single_range.ok() && batch_range.ok());
+    EXPECT_EQ(single_range->op, Op::kRangeSearch);
+    ASSERT_EQ(single_range->range_queries.size(), 1u);
+    ASSERT_EQ(batch_range->range_queries.size(), 1u);
+    EXPECT_EQ(single_range->range_queries[0].pivot_distances,
+              batch_range->range_queries[0].pivot_distances);
+    EXPECT_EQ(single_range->range_queries[0].radius,
+              batch_range->range_queries[0].radius);
+    EXPECT_EQ(single_range->range_queries[0].radius, range.radius);
+
+    // With distances, permutation-only, and whole-cell (paper Table 9).
+    mindex::KnnQuery knn;
+    knn.signature.permutation = random_permutation(pivots);
+    if (trial % 3 == 0) {
+      knn.signature.pivot_distances = random_distances(pivots);
+    }
+    knn.signature.whole_cells = trial % 3 == 2;
+    knn.cand_size = 1 + rng.NextBounded(1000);
+    auto single_knn =
+        DecodeRequest(EncodeApproxKnnRequest(knn.signature, knn.cand_size));
+    auto batch_knn = DecodeRequest(EncodeApproxKnnBatchRequest({knn}));
+    ASSERT_TRUE(single_knn.ok() && batch_knn.ok());
+    EXPECT_EQ(single_knn->op, Op::kApproxKnn);
+    ASSERT_EQ(single_knn->knn_queries.size(), 1u);
+    ASSERT_EQ(batch_knn->knn_queries.size(), 1u);
+    const mindex::KnnQuery& a = single_knn->knn_queries[0];
+    const mindex::KnnQuery& b = batch_knn->knn_queries[0];
+    EXPECT_EQ(a.signature.pivot_distances, b.signature.pivot_distances);
+    EXPECT_EQ(a.signature.permutation, b.signature.permutation);
+    EXPECT_EQ(a.signature.whole_cells, b.signature.whole_cells);
+    EXPECT_EQ(a.cand_size, b.cand_size);
+    EXPECT_EQ(a.signature.permutation, knn.signature.permutation);
+    EXPECT_EQ(a.signature.whole_cells, knn.signature.whole_cells);
+
+    const DeleteItem item{rng.NextU64(), random_permutation(pivots)};
+    auto single_delete =
+        DecodeRequest(EncodeDeleteRequest(item.id, item.permutation));
+    auto batch_delete = DecodeRequest(EncodeDeleteBatchRequest({item}));
+    ASSERT_TRUE(single_delete.ok() && batch_delete.ok());
+    EXPECT_EQ(single_delete->op, Op::kDelete);
+    ASSERT_EQ(single_delete->delete_items.size(), 1u);
+    ASSERT_EQ(batch_delete->delete_items.size(), 1u);
+    EXPECT_EQ(single_delete->delete_items[0].id,
+              batch_delete->delete_items[0].id);
+    EXPECT_EQ(single_delete->delete_items[0].permutation,
+              batch_delete->delete_items[0].permutation);
+    EXPECT_EQ(single_delete->delete_items[0].id, item.id);
+  }
 }
 
 TEST(ProtocolTest, RejectsTruncatedRequests) {

@@ -180,6 +180,71 @@ TEST(ShardedServerTest, DeleteRoutesToOwningShard) {
       [&](const metric::Neighbor& n) { return n.id == victim.id(); }));
 }
 
+// A single whole-cell kApproxKnn (ApproxKnnSingleCell, paper Table 9)
+// through the facade answers the untrimmed union of every shard's best
+// cell, byte for byte what kApproxKnnBatch of one answers for the query.
+TEST(ShardedServerTest, SingleWholeCellKnnIsTheBatchOfOneUnion) {
+  auto world = MakeShardedWorld(3, InsertStrategy::kPermutationOnly);
+  for (size_t at : {3u, 141u, 577u}) {
+    const VectorObject& query = world.dataset.objects()[at];
+    mindex::KnnQuery knn;
+    knn.signature.permutation = mindex::DistancesToPermutation(
+        world.key.pivots().ComputeDistances(query,
+                                            *world.dataset.distance()));
+    knn.signature.whole_cells = true;
+    knn.cand_size = 1;
+
+    auto single = world.server->Handle(
+        EncodeApproxKnnRequest(knn.signature, knn.cand_size));
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    auto batch = world.server->Handle(EncodeApproxKnnBatchRequest({knn}));
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    auto decoded_batch = DecodeBatchCandidateResponse(*batch);
+    ASSERT_TRUE(decoded_batch.ok());
+    ASSERT_EQ(decoded_batch->query_count(), 1u);
+    const CandidateResponse expected = decoded_batch->Materialize(0);
+    EXPECT_EQ(*single,
+              EncodeCandidateResponse(expected.candidates, expected.stats))
+        << "query " << at;
+
+    // Untrimmed: every shard's whole best cell survives the merge.
+    size_t union_size = 0;
+    for (size_t s = 0; s < world.server->num_shards(); ++s) {
+      auto cell = world.server->shard(s).index().ApproxKnnCandidates(
+          knn.signature, knn.cand_size);
+      ASSERT_TRUE(cell.ok());
+      union_size += cell->size();
+    }
+    auto decoded_single = DecodeCandidateResponse(*single);
+    ASSERT_TRUE(decoded_single.ok());
+    EXPECT_EQ(decoded_single->candidates.size(), union_size);
+    EXPECT_GT(union_size, knn.cand_size);
+  }
+}
+
+// A single kDelete of an id no shard holds answers NotFound, and no
+// shard's object count moves.
+TEST(ShardedServerTest, SingleDeleteOfMissingIdIsNotFound) {
+  auto world = MakeShardedWorld(3);
+  std::vector<size_t> before;
+  for (size_t s = 0; s < world.server->num_shards(); ++s) {
+    before.push_back(world.server->shard(s).index().size());
+  }
+  const VectorObject& routed_like = world.dataset.objects()[10];
+  const mindex::Permutation permutation = mindex::DistancesToPermutation(
+      world.key.pivots().ComputeDistances(routed_like,
+                                          *world.dataset.distance()));
+  auto response =
+      world.server->Handle(EncodeDeleteRequest(987654321, permutation));
+  ASSERT_FALSE(response.ok());
+  EXPECT_EQ(response.status().code(), StatusCode::kNotFound)
+      << response.status().ToString();
+  for (size_t s = 0; s < world.server->num_shards(); ++s) {
+    EXPECT_EQ(world.server->shard(s).index().size(), before[s])
+        << "shard " << s;
+  }
+}
+
 TEST(ShardedServerTest, StatsAggregateAcrossShards) {
   auto world = MakeShardedWorld(4);
   auto stats = world.client->GetServerStats();
