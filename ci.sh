@@ -135,6 +135,16 @@ if grep -rnE "$removed|MergeShardResults" src/; then
   exit 1
 fi
 
+echo "=== lint: the client's cost account never reads the transport's ==="
+# EncryptionClient times its own transport calls and leaves them out of
+# its overhead; the transport reports server and wire time. Reading the
+# transport's account back inside client.cc is how the wire time got
+# counted twice.
+if grep -nE 'costs\(\)\.server_nanos|TransportCosts' src/secure/client.cc; then
+  echo "FAIL: src/secure/client.cc reads the transport's cost account" >&2
+  exit 1
+fi
+
 echo "=== lint: the AVX2 distance kernel includes no library header ==="
 # distance_avx2.cc is built with -mavx2. An inline function from any other
 # header compiled there may be the copy the linker keeps for every caller,

@@ -6,6 +6,7 @@
 
 #include "common/clock.h"
 #include "mindex/permutation.h"
+#include "secure/watch.h"
 
 namespace simcloud {
 namespace secure {
@@ -14,15 +15,105 @@ using metric::Neighbor;
 using metric::NeighborList;
 using metric::VectorObject;
 
+namespace {
+
+/// Maps a true-metric distance (a radius, a k-th best distance) into the
+/// space the server ranks and filters in: through the key's
+/// distribution-hiding transform when one is enabled.
+double ToServerSpace(const SecretKey& key, double distance) {
+  return key.has_transform() ? key.transform().Apply(distance) : distance;
+}
+
+/// Keeps the refined answers within `radius` of the query.
+NeighborList WithinRadius(NeighborList refined, double radius) {
+  std::erase_if(refined,
+                [radius](const Neighbor& n) { return !(n.distance <= radius); });
+  return refined;
+}
+
+Status CheckKnnArguments(size_t k, size_t cand_size) {
+  if (k == 0) return Status::InvalidArgument("k must be > 0");
+  if (cand_size < k) {
+    return Status::InvalidArgument("candidate set size must be >= k");
+  }
+  return Status::OK();
+}
+
+Status CheckBatchSize(size_t size, const char* unit) {
+  if (size <= kMaxBatchQueries) return Status::OK();
+  return Status::InvalidArgument(
+      "batch exceeds the " + std::to_string(kMaxBatchQueries) + "-" + unit +
+      " protocol limit; split it into smaller batches");
+}
+
+/// Marks a pipelined batch collected; refuses one that is not in flight.
+template <typename Pending>
+Status ClaimPending(Pending* pending) {
+  if (pending == nullptr || !pending->live) {
+    return Status::InvalidArgument(
+        "batch was never submitted or is already collected");
+  }
+  pending->live = false;
+  return Status::OK();
+}
+
+}  // namespace
+
+/// One accounted operation. On scope exit it charges
+///   overhead = op wall - tracked client work - time inside transport calls
+/// so server and wire time, which the transport reports, never land in
+/// the client's account. The only writer of overhead_nanos.
+class EncryptionClient::Op {
+ public:
+  explicit Op(EncryptionClient* client)
+      : client_(client), work_before_(Work()),
+        transport_before_(client->transport_nanos_) {}
+  ~Op() {
+    const int64_t untracked = watch_.ElapsedNanos() - (Work() - work_before_) -
+                              (client_->transport_nanos_ - transport_before_);
+    client_->costs_.overhead_nanos += std::max<int64_t>(0, untracked);
+  }
+  Op(const Op&) = delete;
+  Op& operator=(const Op&) = delete;
+
+ private:
+  int64_t Work() const {
+    const ClientCosts& costs = client_->costs_;
+    return costs.encryption_nanos + costs.decryption_nanos +
+           costs.distance_nanos;
+  }
+
+  EncryptionClient* client_;
+  Stopwatch watch_;
+  const int64_t work_before_;
+  const int64_t transport_before_;
+};
+
+Result<Bytes> EncryptionClient::Call(const Bytes& request) {
+  Stopwatch watch;
+  Result<Bytes> response = transport_->Call(request);
+  transport_nanos_ += watch.ElapsedNanos();
+  return response;
+}
+
+Result<Bytes> EncryptionClient::Exchange(const Bytes& request) {
+  Stopwatch watch;
+  Result<uint64_t> ticket = transport_->Submit(request);
+  Result<Bytes> response =
+      ticket.ok() ? transport_->Collect(*ticket) : ticket.status();
+  transport_nanos_ += watch.ElapsedNanos();
+  return response;
+}
+
 std::vector<float> EncryptionClient::ComputePivotDistances(
-    const VectorObject& object, bool apply_transform) {
+    const VectorObject& object) {
   Stopwatch watch;
   std::vector<float> distances =
       key_.pivots().ComputeDistances(object, *metric_);
   costs_.distance_nanos += watch.ElapsedNanos();
   costs_.distance_computations += key_.num_pivots();
 
-  if (apply_transform && key_.has_transform()) {
+  if (key_.has_transform()) {
     distances = key_.transform().ApplyAll(distances);
   }
   return distances;
@@ -42,10 +133,7 @@ Status EncryptionClient::InsertBulk(const std::vector<VectorObject>& objects,
   size_t offset = 0;
   while (offset < objects.size()) {
     const size_t batch = std::min(bulk_size, objects.size() - offset);
-    Stopwatch op_watch;
-    int64_t tracked_before =
-        costs_.distance_nanos + costs_.encryption_nanos;
-
+    Op op(this);
     std::vector<InsertItem> items;
     items.reserve(batch);
     for (size_t i = 0; i < batch; ++i) {
@@ -54,8 +142,7 @@ Status EncryptionClient::InsertBulk(const std::vector<VectorObject>& objects,
       item.id = object.id();
 
       // Algorithm 1 lines 1-7: distances, then distances or permutation.
-      std::vector<float> distances =
-          ComputePivotDistances(object, /*apply_transform=*/true);
+      std::vector<float> distances = ComputePivotDistances(object);
       if (strategy == InsertStrategy::kPrecise) {
         item.pivot_distances = std::move(distances);
       } else {
@@ -73,12 +160,8 @@ Status EncryptionClient::InsertBulk(const std::vector<VectorObject>& objects,
       items.push_back(std::move(item));
     }
 
-    const Bytes request = EncodeInsertBatchRequest(items);
-    const int64_t server_before = transport_->costs().server_nanos;
     SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
-                              transport_->Call(request));
-    const int64_t server_delta =
-        transport_->costs().server_nanos - server_before;
+                              Call(EncodeInsertBatchRequest(items)));
     SIMCLOUD_ASSIGN_OR_RETURN(uint64_t inserted,
                               DecodeInsertResponse(response_bytes));
     if (inserted != batch) {
@@ -86,11 +169,6 @@ Status EncryptionClient::InsertBulk(const std::vector<VectorObject>& objects,
                               std::to_string(inserted) + " of " +
                               std::to_string(batch) + " inserts");
     }
-
-    const int64_t tracked_delta =
-        costs_.distance_nanos + costs_.encryption_nanos - tracked_before;
-    costs_.overhead_nanos += std::max<int64_t>(
-        0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
     offset += batch;
   }
   return Status::OK();
@@ -117,13 +195,12 @@ Status EncryptionClient::DeleteBatch(
       // it (both strategies route by the permutation of the transformed
       // distances), so the delete reaches the same cell.
       const VectorObject& object = objects[offset + i];
-      std::vector<float> distances =
-          ComputePivotDistances(object, /*apply_transform=*/true);
-      items.push_back(DeleteItem{object.id(),
-                                 mindex::DistancesToPermutation(distances)});
+      items.push_back(DeleteItem{
+          object.id(),
+          mindex::DistancesToPermutation(ComputePivotDistances(object))});
     }
-    const Bytes request = EncodeDeleteBatchRequest(items);
-    SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, transport_->Call(request));
+    SIMCLOUD_ASSIGN_OR_RETURN(Bytes response,
+                              Call(EncodeDeleteBatchRequest(items)));
     SIMCLOUD_ASSIGN_OR_RETURN(uint64_t deleted,
                               DecodeInsertResponse(response));
     if (deleted > batch) {
@@ -141,8 +218,7 @@ Status EncryptionClient::DeleteBatch(
 }
 
 Result<mindex::CompactionReport> EncryptionClient::Compact(bool force) {
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response,
-                            transport_->Call(EncodeCompactRequest(force)));
+  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, Call(EncodeCompactRequest(force)));
   return DecodeCompactResponse(response);
 }
 
@@ -188,120 +264,73 @@ Result<NeighborList> EncryptionClient::RefineCandidates(
   return refined;
 }
 
+Result<CandidateResponse> EncryptionClient::FetchCandidates(
+    const VectorObject& query,
+    const std::function<Bytes(std::vector<float>)>& encode) {
+  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response,
+                            Call(encode(ComputePivotDistances(query))));
+  return DecodeCandidateResponse(response);
+}
+
 Result<NeighborList> EncryptionClient::RangeSearch(const VectorObject& query,
                                                    double radius) {
   if (radius < 0) {
     return Status::InvalidArgument("radius must be >= 0");
   }
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
+  Op op(this);
   // Algorithm 2 lines 1-6 (precise branch): distances only, no query object.
-  std::vector<float> query_distances =
-      ComputePivotDistances(query, /*apply_transform=*/true);
-  const double sent_radius =
-      key_.has_transform() ? key_.transform().Apply(radius) : radius;
-
-  const Bytes request = EncodeRangeSearchRequest(query_distances, sent_radius);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
+  const auto encode = [&](std::vector<float> distances) {
+    return EncodeRangeSearchRequest(distances, ToServerSpace(key_, radius));
+  };
   SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse response,
-                            DecodeCandidateResponse(response_bytes));
-
+                            FetchCandidates(query, encode));
   // Algorithm 2 lines 11-16: decrypt + refine with the true metric.
   SIMCLOUD_ASSIGN_OR_RETURN(NeighborList refined,
                             RefineCandidates(response.candidates, query));
-  NeighborList answer;
-  for (const Neighbor& n : refined) {
-    if (n.distance <= radius) answer.push_back(n);
-  }
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return answer;
+  return WithinRadius(std::move(refined), radius);
 }
 
 Result<NeighborList> EncryptionClient::ApproxKnnSingleCell(
     const VectorObject& query, size_t k) {
   if (k == 0) return Status::InvalidArgument("k must be > 0");
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
-  std::vector<float> query_distances =
-      ComputePivotDistances(query, /*apply_transform=*/true);
-  mindex::QuerySignature signature;
-  signature.permutation = mindex::DistancesToPermutation(query_distances);
-  signature.whole_cells = true;
-
-  const Bytes request = EncodeApproxKnnRequest(signature, 1);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse response,
-                            DecodeCandidateResponse(response_bytes));
-
-  SIMCLOUD_ASSIGN_OR_RETURN(NeighborList refined,
-                            RefineCandidates(response.candidates, query));
-  if (refined.size() > k) refined.resize(k);
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return refined;
+  return RankedKnn(query, k, /*cand_size=*/1, /*whole_cells=*/true);
 }
 
 Result<NeighborList> EncryptionClient::ApproxKnn(const VectorObject& query,
                                                  size_t k, size_t cand_size) {
-  if (k == 0) return Status::InvalidArgument("k must be > 0");
-  if (cand_size < k) {
-    return Status::InvalidArgument("candidate set size must be >= k");
-  }
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
+  SIMCLOUD_RETURN_NOT_OK(CheckKnnArguments(k, cand_size));
+  return RankedKnn(query, k, cand_size, /*whole_cells=*/false);
+}
 
+Result<NeighborList> EncryptionClient::RankedKnn(const VectorObject& query,
+                                                 size_t k, size_t cand_size,
+                                                 bool whole_cells) {
+  Op op(this);
   // Algorithm 2 lines 7-10 (approximate branch): permutation only.
-  std::vector<float> query_distances =
-      ComputePivotDistances(query, /*apply_transform=*/true);
-  mindex::QuerySignature signature;
-  signature.permutation = mindex::DistancesToPermutation(query_distances);
-
-  const Bytes request = EncodeApproxKnnRequest(signature, cand_size);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
+  const auto encode = [&](std::vector<float> distances) {
+    mindex::QuerySignature signature;
+    signature.permutation = mindex::DistancesToPermutation(distances);
+    signature.whole_cells = whole_cells;
+    return EncodeApproxKnnRequest(signature, cand_size);
+  };
   SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse response,
-                            DecodeCandidateResponse(response_bytes));
-
+                            FetchCandidates(query, encode));
   SIMCLOUD_ASSIGN_OR_RETURN(NeighborList refined,
                             RefineCandidates(response.candidates, query));
   if (refined.size() > k) refined.resize(k);
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
   return refined;
 }
 
 Result<std::vector<NeighborList>> EncryptionClient::RefineBatch(
-    const BatchCandidateResponse& response,
-    const std::vector<VectorObject>& queries) {
+    const Bytes& response_bytes, const std::vector<VectorObject>& queries) {
+  SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateResponse response,
+                            DecodeBatchCandidateResponse(response_bytes));
+  if (response.query_count() != queries.size()) {
+    return Status::Internal("server answered " +
+                            std::to_string(response.query_count()) + " of " +
+                            std::to_string(queries.size()) +
+                            " batched queries");
+  }
   std::vector<std::optional<VectorObject>> decoded(
       response.batch.payloads.size());
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -339,19 +368,13 @@ Result<Bytes> EncryptionClient::BuildRangeSearchBatchRequest(
   if (radius < 0) {
     return Status::InvalidArgument("radius must be >= 0");
   }
-  if (queries.size() > kMaxBatchQueries) {
-    return Status::InvalidArgument(
-        "batch exceeds the " + std::to_string(kMaxBatchQueries) +
-        "-query protocol limit; split it into smaller batches");
-  }
-  const double sent_radius =
-      key_.has_transform() ? key_.transform().Apply(radius) : radius;
+  SIMCLOUD_RETURN_NOT_OK(CheckBatchSize(queries.size(), "query"));
+  const double sent_radius = ToServerSpace(key_, radius);
   std::vector<mindex::RangeQuery> batch;
   batch.reserve(queries.size());
   for (const VectorObject& query : queries) {
     mindex::RangeQuery item;
-    item.pivot_distances =
-        ComputePivotDistances(query, /*apply_transform=*/true);
+    item.pivot_distances = ComputePivotDistances(query);
     item.radius = sent_radius;
     batch.push_back(std::move(item));
   }
@@ -361,75 +384,36 @@ Result<Bytes> EncryptionClient::BuildRangeSearchBatchRequest(
 Result<std::vector<NeighborList>> EncryptionClient::FinishRangeSearchBatch(
     const Bytes& response_bytes, const std::vector<VectorObject>& queries,
     double radius) {
-  SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateResponse response,
-                            DecodeBatchCandidateResponse(response_bytes));
-  if (response.query_count() != queries.size()) {
-    return Status::Internal("server answered " +
-                            std::to_string(response.query_count()) + " of " +
-                            std::to_string(queries.size()) +
-                            " batched queries");
-  }
-  SIMCLOUD_ASSIGN_OR_RETURN(std::vector<NeighborList> refined_lists,
-                            RefineBatch(response, queries));
-  std::vector<NeighborList> answers;
-  answers.reserve(queries.size());
-  for (NeighborList& refined : refined_lists) {
-    NeighborList answer;
-    for (const Neighbor& n : refined) {
-      if (n.distance <= radius) answer.push_back(n);
-    }
-    answers.push_back(std::move(answer));
+  SIMCLOUD_ASSIGN_OR_RETURN(std::vector<NeighborList> answers,
+                            RefineBatch(response_bytes, queries));
+  for (NeighborList& answer : answers) {
+    answer = WithinRadius(std::move(answer), radius);
   }
   return answers;
 }
 
 Result<std::vector<NeighborList>> EncryptionClient::RangeSearchBatch(
     const std::vector<VectorObject>& queries, double radius) {
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
+  Op op(this);
   // Built (and thereby argument-validated) before the empty shortcut so
   // invalid arguments fail even for an empty batch.
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes request,
                             BuildRangeSearchBatchRequest(queries, radius));
   if (queries.empty()) return std::vector<NeighborList>{};
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(
-      std::vector<NeighborList> answers,
-      FinishRangeSearchBatch(response_bytes, queries, radius));
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return answers;
+  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, Call(request));
+  return FinishRangeSearchBatch(response_bytes, queries, radius);
 }
 
 Result<Bytes> EncryptionClient::BuildApproxKnnBatchRequest(
     const std::vector<VectorObject>& queries, size_t k, size_t cand_size) {
-  if (k == 0) return Status::InvalidArgument("k must be > 0");
-  if (cand_size < k) {
-    return Status::InvalidArgument("candidate set size must be >= k");
-  }
-  if (queries.size() > kMaxBatchQueries) {
-    return Status::InvalidArgument(
-        "batch exceeds the " + std::to_string(kMaxBatchQueries) +
-        "-query protocol limit; split it into smaller batches");
-  }
+  SIMCLOUD_RETURN_NOT_OK(CheckKnnArguments(k, cand_size));
+  SIMCLOUD_RETURN_NOT_OK(CheckBatchSize(queries.size(), "query"));
   std::vector<mindex::KnnQuery> batch;
   batch.reserve(queries.size());
   for (const VectorObject& query : queries) {
-    std::vector<float> query_distances =
-        ComputePivotDistances(query, /*apply_transform=*/true);
     mindex::KnnQuery item;
     item.signature.permutation =
-        mindex::DistancesToPermutation(query_distances);
+        mindex::DistancesToPermutation(ComputePivotDistances(query));
     item.cand_size = cand_size;
     batch.push_back(std::move(item));
   }
@@ -439,16 +423,8 @@ Result<Bytes> EncryptionClient::BuildApproxKnnBatchRequest(
 Result<std::vector<NeighborList>> EncryptionClient::FinishApproxKnnBatch(
     const Bytes& response_bytes, const std::vector<VectorObject>& queries,
     size_t k) {
-  SIMCLOUD_ASSIGN_OR_RETURN(BatchCandidateResponse response,
-                            DecodeBatchCandidateResponse(response_bytes));
-  if (response.query_count() != queries.size()) {
-    return Status::Internal("server answered " +
-                            std::to_string(response.query_count()) + " of " +
-                            std::to_string(queries.size()) +
-                            " batched queries");
-  }
   SIMCLOUD_ASSIGN_OR_RETURN(std::vector<NeighborList> answers,
-                            RefineBatch(response, queries));
+                            RefineBatch(response_bytes, queries));
   for (NeighborList& refined : answers) {
     if (refined.size() > k) refined.resize(k);
   }
@@ -457,48 +433,26 @@ Result<std::vector<NeighborList>> EncryptionClient::FinishApproxKnnBatch(
 
 Result<std::vector<NeighborList>> EncryptionClient::ApproxKnnBatch(
     const std::vector<VectorObject>& queries, size_t k, size_t cand_size) {
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
+  Op op(this);
   SIMCLOUD_ASSIGN_OR_RETURN(
       Bytes request, BuildApproxKnnBatchRequest(queries, k, cand_size));
   if (queries.empty()) return std::vector<NeighborList>{};
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
-  SIMCLOUD_ASSIGN_OR_RETURN(std::vector<NeighborList> answers,
-                            FinishApproxKnnBatch(response_bytes, queries, k));
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return answers;
+  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, Call(request));
+  return FinishApproxKnnBatch(response_bytes, queries, k);
 }
 
 Result<PendingQueryBatch> EncryptionClient::SubmitRangeSearchBatch(
     std::vector<VectorObject> queries, double radius) {
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes request,
                             BuildRangeSearchBatchRequest(queries, radius));
-  PendingQueryBatch pending;
-  SIMCLOUD_ASSIGN_OR_RETURN(pending.ticket, transport_->Submit(request));
-  pending.live = true;
-  pending.queries = std::move(queries);
-  pending.radius = radius;
-  return pending;
+  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket, transport_->Submit(request));
+  return PendingQueryBatch{.ticket = ticket, .live = true,
+                           .queries = std::move(queries), .radius = radius};
 }
 
 Result<std::vector<NeighborList>> EncryptionClient::CollectRangeSearchBatch(
     PendingQueryBatch* pending) {
-  if (pending == nullptr || !pending->live) {
-    return Status::InvalidArgument(
-        "batch was never submitted or is already collected");
-  }
-  pending->live = false;
+  SIMCLOUD_RETURN_NOT_OK(ClaimPending(pending));
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
                             transport_->Collect(pending->ticket));
   return FinishRangeSearchBatch(response_bytes, pending->queries,
@@ -509,21 +463,14 @@ Result<PendingQueryBatch> EncryptionClient::SubmitApproxKnnBatch(
     std::vector<VectorObject> queries, size_t k, size_t cand_size) {
   SIMCLOUD_ASSIGN_OR_RETURN(
       Bytes request, BuildApproxKnnBatchRequest(queries, k, cand_size));
-  PendingQueryBatch pending;
-  SIMCLOUD_ASSIGN_OR_RETURN(pending.ticket, transport_->Submit(request));
-  pending.live = true;
-  pending.queries = std::move(queries);
-  pending.k = k;
-  return pending;
+  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket, transport_->Submit(request));
+  return PendingQueryBatch{.ticket = ticket, .live = true,
+                           .queries = std::move(queries), .k = k};
 }
 
 Result<std::vector<NeighborList>> EncryptionClient::CollectApproxKnnBatch(
     PendingQueryBatch* pending) {
-  if (pending == nullptr || !pending->live) {
-    return Status::InvalidArgument(
-        "batch was never submitted or is already collected");
-  }
-  pending->live = false;
+  SIMCLOUD_RETURN_NOT_OK(ClaimPending(pending));
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
                             transport_->Collect(pending->ticket));
   return FinishApproxKnnBatch(response_bytes, pending->queries, pending->k);
@@ -531,33 +478,22 @@ Result<std::vector<NeighborList>> EncryptionClient::CollectApproxKnnBatch(
 
 Result<PendingDeleteBatch> EncryptionClient::SubmitDeleteBatch(
     const std::vector<VectorObject>& objects) {
-  if (objects.size() > kMaxBatchQueries) {
-    return Status::InvalidArgument(
-        "batch exceeds the " + std::to_string(kMaxBatchQueries) +
-        "-item protocol limit; split it into smaller batches");
-  }
+  SIMCLOUD_RETURN_NOT_OK(CheckBatchSize(objects.size(), "item"));
   std::vector<DeleteItem> items;
   items.reserve(objects.size());
   for (const VectorObject& object : objects) {
-    std::vector<float> distances =
-        ComputePivotDistances(object, /*apply_transform=*/true);
-    items.push_back(
-        DeleteItem{object.id(), mindex::DistancesToPermutation(distances)});
+    items.push_back(DeleteItem{
+        object.id(),
+        mindex::DistancesToPermutation(ComputePivotDistances(object))});
   }
-  PendingDeleteBatch pending;
-  SIMCLOUD_ASSIGN_OR_RETURN(
-      pending.ticket, transport_->Submit(EncodeDeleteBatchRequest(items)));
-  pending.live = true;
-  pending.count = objects.size();
-  return pending;
+  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket,
+                            transport_->Submit(EncodeDeleteBatchRequest(items)));
+  return PendingDeleteBatch{
+      .ticket = ticket, .live = true, .count = objects.size()};
 }
 
 Status EncryptionClient::CollectDeleteBatch(PendingDeleteBatch* pending) {
-  if (pending == nullptr || !pending->live) {
-    return Status::InvalidArgument(
-        "batch was never submitted or is already collected");
-  }
-  pending->live = false;
+  SIMCLOUD_RETURN_NOT_OK(ClaimPending(pending));
   SIMCLOUD_ASSIGN_OR_RETURN(Bytes response,
                             transport_->Collect(pending->ticket));
   SIMCLOUD_ASSIGN_OR_RETURN(uint64_t deleted, DecodeInsertResponse(response));
@@ -573,10 +509,7 @@ Status EncryptionClient::CollectDeleteBatch(PendingDeleteBatch* pending) {
 }
 
 Status EncryptionClient::Ping() {
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response,
-                            transport_->Call(EncodePingRequest()));
-  (void)response;  // empty by contract
-  return Status::OK();
+  return Call(EncodePingRequest()).status();  // the response is empty
 }
 
 Result<uint64_t> EncryptionClient::SubmitPing() {
@@ -584,38 +517,24 @@ Result<uint64_t> EncryptionClient::SubmitPing() {
 }
 
 Status EncryptionClient::CollectPing(uint64_t ticket) {
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, transport_->Collect(ticket));
-  (void)response;
-  return Status::OK();
+  return transport_->Collect(ticket).status();
 }
 
 Result<NeighborList> EncryptionClient::ApproxKnnEarlyStop(
     const VectorObject& query, size_t k, size_t cand_size) {
-  if (k == 0) return Status::InvalidArgument("k must be > 0");
-  if (cand_size < k) {
-    return Status::InvalidArgument("candidate set size must be >= k");
-  }
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
+  SIMCLOUD_RETURN_NOT_OK(CheckKnnArguments(k, cand_size));
+  Op op(this);
   // Send the distances, not just the permutation: the server then ranks
   // candidates by their pivot-filtering lower bound on d(q, o) (in the
   // transformed space when a transform is enabled).
-  std::vector<float> query_distances =
-      ComputePivotDistances(query, /*apply_transform=*/true);
-  mindex::QuerySignature signature;
-  signature.pivot_distances = query_distances;
-  signature.permutation = mindex::DistancesToPermutation(query_distances);
-
-  const Bytes request = EncodeApproxKnnRequest(signature, cand_size);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Call(request));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
+  const auto encode = [&](std::vector<float> distances) {
+    mindex::QuerySignature signature;
+    signature.permutation = mindex::DistancesToPermutation(distances);
+    signature.pivot_distances = std::move(distances);
+    return EncodeApproxKnnRequest(signature, cand_size);
+  };
   SIMCLOUD_ASSIGN_OR_RETURN(CandidateResponse response,
-                            DecodeCandidateResponse(response_bytes));
+                            FetchCandidates(query, encode));
 
   // Refine in rank order; stop when the next candidate's lower bound
   // already exceeds the k-th best true distance found so far. Scores are
@@ -623,11 +542,9 @@ Result<NeighborList> EncryptionClient::ApproxKnnEarlyStop(
   // maps the current k-th distance through the transform first.
   NeighborList best;  // kept sorted ascending, size <= k
   for (const auto& candidate : response.candidates) {
-    if (best.size() == k) {
-      const double kth = best.back().distance;
-      const double kth_in_score_space =
-          key_.has_transform() ? key_.transform().Apply(kth) : kth;
-      if (candidate.score > kth_in_score_space) break;  // sound stop
+    if (best.size() == k &&
+        candidate.score > ToServerSpace(key_, best.back().distance)) {
+      break;  // sound stop
     }
     SIMCLOUD_ASSIGN_OR_RETURN(VectorObject object,
                               DecryptCandidate(candidate.payload));
@@ -640,12 +557,6 @@ Result<NeighborList> EncryptionClient::ApproxKnnEarlyStop(
       best.pop_back();
     }
   }
-
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
   return best;
 }
 
@@ -677,14 +588,12 @@ Result<NeighborList> EncryptionClient::PreciseKnn(const VectorObject& query,
 }
 
 Result<mindex::IndexStats> EncryptionClient::GetServerStats() {
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response,
-                            transport_->Call(EncodeGetStatsRequest()));
+  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, Call(EncodeGetStatsRequest()));
   return DecodeStatsResponse(response);
 }
 
 Result<obs::MetricsSnapshot> EncryptionClient::GetMetrics() {
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response,
-                            transport_->Call(EncodeGetMetricsRequest()));
+  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response, Call(EncodeGetMetricsRequest()));
   return DecodeMetricsResponse(response);
 }
 
@@ -696,7 +605,7 @@ constexpr int kWatchAckTimeoutMs = 5000;
 }  // namespace
 
 bool EncryptionClient::IsWatchLost(const Status& status) {
-  return status.message().find("watch lost") != std::string::npos;
+  return secure::IsWatchLost(status);
 }
 
 Result<std::unique_ptr<WatchStream>> EncryptionClient::OpenWatch(
@@ -740,10 +649,8 @@ Result<std::unique_ptr<WatchStream>> EncryptionClient::Watch(
   // and the transformed radius — the query object stays client-side.
   WatchFilter filter;
   filter.kind = WatchFilter::Kind::kRange;
-  filter.query_distances = ComputePivotDistances(query,
-                                                 /*apply_transform=*/true);
-  filter.radius =
-      key_.has_transform() ? key_.transform().Apply(radius) : radius;
+  filter.query_distances = ComputePivotDistances(query);
+  filter.radius = ToServerSpace(key_, radius);
   return OpenWatch(filter, resume_token);
 }
 
@@ -838,37 +745,19 @@ Result<std::unique_ptr<CursorStream>> EncryptionClient::OpenRangeCursor(
   if (page_size == 0) {
     return Status::InvalidArgument("cursor page size must be > 0");
   }
-  Stopwatch op_watch;
-  const int64_t tracked_before = costs_.distance_nanos +
-                                 costs_.decryption_nanos +
-                                 costs_.encryption_nanos;
-
+  Op op(this);
   // Same privacy envelope as RangeSearch: distances only, transformed
-  // radius, no query object on the wire.
-  std::vector<float> query_distances =
-      ComputePivotDistances(query, /*apply_transform=*/true);
-  const double sent_radius =
-      key_.has_transform() ? key_.transform().Apply(radius) : radius;
-
-  const Bytes request = EncodeRangeSearchCursorRequest(
-      query_distances, sent_radius, page_size, /*start_offset=*/0);
-  const int64_t server_before = transport_->costs().server_nanos;
-  SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket, transport_->Submit(request));
-  SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes, transport_->Collect(ticket));
-  const int64_t server_delta =
-      transport_->costs().server_nanos - server_before;
+  // radius, no query object on the wire. The first page's decryption and
+  // refinement happen in the first Next().
+  SIMCLOUD_ASSIGN_OR_RETURN(
+      Bytes response_bytes,
+      Exchange(EncodeRangeSearchCursorRequest(ComputePivotDistances(query),
+                                              ToServerSpace(key_, radius),
+                                              page_size,
+                                              /*start_offset=*/0)));
   SIMCLOUD_ASSIGN_OR_RETURN(CursorPage first, DecodeCursorPage(response_bytes));
-
-  // The first page's decryption + refinement happens in the first
-  // Next(); the open accounts only distances and serialization.
-  auto stream = std::unique_ptr<CursorStream>(new CursorStream(
-      this, transport_, query, radius, std::move(first)));
-  const int64_t tracked_delta = costs_.distance_nanos +
-                                costs_.decryption_nanos +
-                                costs_.encryption_nanos - tracked_before;
-  costs_.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return stream;
+  return std::unique_ptr<CursorStream>(
+      new CursorStream(this, query, radius, std::move(first)));
 }
 
 CursorStream::~CursorStream() {
@@ -882,23 +771,16 @@ Result<NeighborList> CursorStream::Next() {
     return Status::FailedPrecondition("cursor stream is closed");
   }
   if (exhausted()) return NeighborList{};
-  Stopwatch op_watch;
-  ClientCosts& costs = client_->costs_;
-  const int64_t tracked_before =
-      costs.distance_nanos + costs.decryption_nanos + costs.encryption_nanos;
-  int64_t server_delta = 0;
+  EncryptionClient::Op op(client_);
   CursorPage page;
   if (first_pending_) {
     page = std::move(first_page_);
     first_page_ = CursorPage{};
     first_pending_ = false;
   } else {
-    const Bytes request = EncodeCursorNextRequest(cursor_id_);
-    const int64_t server_before = transport_->costs().server_nanos;
-    SIMCLOUD_ASSIGN_OR_RETURN(uint64_t ticket, transport_->Submit(request));
-    SIMCLOUD_ASSIGN_OR_RETURN(Bytes response_bytes,
-                              transport_->Collect(ticket));
-    server_delta = transport_->costs().server_nanos - server_before;
+    SIMCLOUD_ASSIGN_OR_RETURN(
+        Bytes response_bytes,
+        client_->Exchange(EncodeCursorNextRequest(cursor_id_)));
     SIMCLOUD_ASSIGN_OR_RETURN(page, DecodeCursorPage(response_bytes));
     cursor_id_ = page.cursor_id;
   }
@@ -908,17 +790,7 @@ Result<NeighborList> CursorStream::Next() {
   SIMCLOUD_ASSIGN_OR_RETURN(
       NeighborList refined,
       client_->RefineCandidates(page.candidates, query_));
-  NeighborList answer;
-  for (const Neighbor& n : refined) {
-    if (n.distance <= radius_) answer.push_back(n);
-  }
-
-  const int64_t tracked_delta =
-      costs.distance_nanos + costs.decryption_nanos + costs.encryption_nanos -
-      tracked_before;
-  costs.overhead_nanos += std::max<int64_t>(
-      0, op_watch.ElapsedNanos() - tracked_delta - server_delta);
-  return answer;
+  return WithinRadius(std::move(refined), radius_);
 }
 
 Status CursorStream::Close() {
@@ -927,9 +799,7 @@ Status CursorStream::Close() {
   if (cursor_id_ == 0) return Status::OK();  // server already dropped it
   const uint64_t id = cursor_id_;
   cursor_id_ = 0;
-  Result<uint64_t> ticket = transport_->Submit(EncodeCursorCloseRequest(id));
-  if (!ticket.ok()) return ticket.status();
-  return transport_->Collect(*ticket).status();
+  return client_->Exchange(EncodeCursorCloseRequest(id)).status();
 }
 
 }  // namespace secure

@@ -9,14 +9,18 @@
 // and the pivots never leave the client.
 //
 // Every operation feeds the cost accounting the paper's evaluation is
-// built on: encryption/decryption time, distance-computation time, and
-// client processing overhead (ClientCosts), plus the transport's
-// server/communication split (net::TransportCosts).
+// built on. ClientCosts holds the client's share: encryption, decryption
+// and distance time, plus the overhead of an operation's wall time that
+// none of them and no transport call explains. The transport reports the
+// rest, the server/communication split (net::TransportCosts), so wire
+// time is counted once: over TCP, client + server + communication never
+// exceed the caller's wall time.
 
 #ifndef SIMCLOUD_SECURE_CLIENT_H_
 #define SIMCLOUD_SECURE_CLIENT_H_
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,7 +51,10 @@ struct ClientCosts {
   int64_t encryption_nanos = 0;  ///< AES encryption of inserted objects
   int64_t decryption_nanos = 0;  ///< decrypt + deserialize candidates
   int64_t distance_nanos = 0;    ///< object-pivot + refine distances
-  int64_t overhead_nanos = 0;    ///< serialization & bookkeeping
+  /// The rest of an operation's wall time: serialization, decoding and
+  /// bookkeeping. It excludes all time inside transport calls (server
+  /// and wire time, which the transport reports).
+  int64_t overhead_nanos = 0;
   uint64_t distance_computations = 0;
   uint64_t objects_encrypted = 0;
   uint64_t candidates_decrypted = 0;
@@ -196,14 +203,13 @@ class CursorStream {
 
  private:
   friend class EncryptionClient;
-  CursorStream(EncryptionClient* client, net::Transport* transport,
-               metric::VectorObject query, double radius, CursorPage first)
-      : client_(client), transport_(transport), query_(std::move(query)),
-        radius_(radius), cursor_id_(first.cursor_id), total_(first.total),
+  CursorStream(EncryptionClient* client, metric::VectorObject query,
+               double radius, CursorPage first)
+      : client_(client), query_(std::move(query)), radius_(radius),
+        cursor_id_(first.cursor_id), total_(first.total),
         first_page_(std::move(first)) {}
 
   EncryptionClient* client_;
-  net::Transport* transport_;
   metric::VectorObject query_;  ///< plaintext query for refinement
   double radius_ = 0;           ///< plaintext radius for refinement
   uint64_t cursor_id_ = 0;
@@ -377,7 +383,7 @@ class EncryptionClient {
       const std::vector<uint64_t>& resume_token = {});
 
   /// True when `status` carries the server's explicit watch-lost signal
-  /// (matched by substring: remote error codes do not survive the wire).
+  /// (the one rule, secure::IsWatchLost in watch.h).
   static bool IsWatchLost(const Status& status);
 
   const ClientCosts& costs() const { return costs_; }
@@ -392,30 +398,46 @@ class EncryptionClient {
   /// cost accounting as one-shot searches.
   friend class CursorStream;
 
-  /// Computes (and counts) distances from `object` to all pivots, applying
-  /// the distribution-hiding transform when enabled.
-  std::vector<float> ComputePivotDistances(const metric::VectorObject& object,
-                                           bool apply_transform);
+  /// One accounted operation; the one writer of overhead_nanos.
+  class Op;
+
+  /// transport_->Call, and Submit + Collect of one request, timed into
+  /// transport_nanos_ so an Op leaves server and wire time out.
+  Result<Bytes> Call(const Bytes& request);
+  Result<Bytes> Exchange(const Bytes& request);
+
+  /// Computes (and counts) distances from `object` to all pivots, through
+  /// the distribution-hiding transform when the key enables it.
+  std::vector<float> ComputePivotDistances(const metric::VectorObject& object);
+
+  /// The single searches' round trip: pivot distances, the request
+  /// `encode` builds from them, Call, DecodeCandidateResponse.
+  Result<CandidateResponse> FetchCandidates(
+      const metric::VectorObject& query,
+      const std::function<Bytes(std::vector<float>)>& encode);
+
+  /// ApproxKnn's body: the `cand_size` best-ranked candidates (whole
+  /// cells until `cand_size` when `whole_cells`), refined, top `k` kept.
+  Result<metric::NeighborList> RankedKnn(const metric::VectorObject& query,
+                                         size_t k, size_t cand_size,
+                                         bool whole_cells);
 
   /// Shared Watch/WatchAll body: submits the registration, waits for the
   /// ack (stashing pushes that outran it), builds the stream.
   Result<std::unique_ptr<WatchStream>> OpenWatch(
       const WatchFilter& filter, const std::vector<uint64_t>& resume_token);
 
-  /// Encodes a kRangeSearchBatch request (pivot distances under cost
-  /// accounting; radius already transformed by the caller's contract).
+  /// Encode kRangeSearchBatch / kApproxKnnBatch requests (pivot
+  /// distances under cost accounting), and decode + refine their
+  /// responses against `queries`.
   Result<Bytes> BuildRangeSearchBatchRequest(
       const std::vector<metric::VectorObject>& queries, double radius);
-  /// Decodes + refines a kRangeSearchBatch response against `queries`.
   Result<std::vector<metric::NeighborList>> FinishRangeSearchBatch(
       const Bytes& response_bytes,
       const std::vector<metric::VectorObject>& queries, double radius);
-
-  /// Encodes a kApproxKnnBatch request.
   Result<Bytes> BuildApproxKnnBatchRequest(
       const std::vector<metric::VectorObject>& queries, size_t k,
       size_t cand_size);
-  /// Decodes + refines a kApproxKnnBatch response against `queries`.
   Result<std::vector<metric::NeighborList>> FinishApproxKnnBatch(
       const Bytes& response_bytes,
       const std::vector<metric::VectorObject>& queries, size_t k);
@@ -428,23 +450,25 @@ class EncryptionClient {
                           const metric::VectorObject& object);
 
   /// Decrypts candidates and evaluates true distances (Alg. 2 lines 11-16),
-  /// keeping those satisfying `predicate`.
+  /// sorted by distance.
   Result<metric::NeighborList> RefineCandidates(
       const mindex::CandidateList& candidates,
       const metric::VectorObject& query);
 
-  /// Batch refinement: decrypts each distinct payload of the batch
-  /// dictionary ONCE (candidates shared between queries — overlapping or
-  /// repeated hot queries — cost one decryption), then evaluates true
-  /// distances per query. `results[i]` refines `queries[i]`.
+  /// Batch refinement of a batch response: decrypts each distinct payload
+  /// of the batch dictionary ONCE (candidates shared between queries —
+  /// overlapping or repeated hot queries — cost one decryption), then
+  /// evaluates true distances per query. `results[i]` refines `queries[i]`.
   Result<std::vector<metric::NeighborList>> RefineBatch(
-      const BatchCandidateResponse& response,
+      const Bytes& response_bytes,
       const std::vector<metric::VectorObject>& queries);
 
   SecretKey key_;
   std::shared_ptr<metric::DistanceFunction> metric_;
   net::Transport* transport_;
   ClientCosts costs_;
+  /// Time spent inside Call/Exchange so far.
+  int64_t transport_nanos_ = 0;
 };
 
 }  // namespace secure

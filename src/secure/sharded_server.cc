@@ -10,6 +10,7 @@
 
 #include "mindex/permutation.h"
 #include "net/tcp.h"
+#include "secure/watch.h"
 
 namespace simcloud {
 namespace secure {
@@ -660,13 +661,6 @@ bool IsRemoteRejection(const Status& status) {
   return status.message().find("remote error:") != std::string::npos;
 }
 
-/// True when a Status carries the shard's explicit watch-lost signal
-/// (ring overflow / token out of range). Matched by substring because
-/// status codes do not survive the wire.
-bool IsWatchLost(const Status& status) {
-  return status.message().find("watch lost") != std::string::npos;
-}
-
 }  // namespace
 
 Status ShardedServer::PushComposite(
@@ -815,8 +809,9 @@ void ShardedServer::PumpShardWatch(std::shared_ptr<WatchFanout> fanout,
     }
     Result<WatchFrame> frame = DecodeWatchFrame(*frame_bytes);
     if (!frame.ok()) {
-      forward_lost("watch lost: undecodable frame from shard " +
-                   std::to_string(shard) + ": " + frame.status().message());
+      forward_lost(kWatchLostPrefix + ("undecodable frame from shard " +
+                                       std::to_string(shard) + ": " +
+                                       frame.status().message()));
       return;
     }
     switch (frame->kind) {

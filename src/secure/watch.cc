@@ -46,7 +46,7 @@ Result<WatchHub::Registration> WatchHub::Register(
     std::vector<mindex::MutationEvent> probe;
     Status replay = bus_->ReplayAfter(resume_after, &probe);
     if (!replay.ok()) {
-      return Status::OutOfRange("watch lost: " + replay.message());
+      return Status::OutOfRange(kWatchLostPrefix + replay.message());
     }
     cursor = resume_after;
   } else {
@@ -122,7 +122,7 @@ bool WatchHub::DeliverTo(Subscription* sub, bool* parked, bool* progressed) {
     // The cursor fell off the replay ring (the watcher was parked or the
     // sweep lagged far behind the writers). Switch to loss reporting.
     sub->lost = true;
-    sub->lost_message = "watch lost: " + replay.message();
+    sub->lost_message = kWatchLostPrefix + replay.message();
     return DeliverTo(sub, parked, progressed);
   }
 

@@ -44,6 +44,18 @@
 namespace simcloud {
 namespace secure {
 
+/// Every watch-lost signal starts with this: a registration whose resume
+/// token fell off the replay ring (OutOfRange), a kLost frame's message,
+/// and the facade's loss of an undecodable shard stream.
+inline constexpr char kWatchLostPrefix[] = "watch lost: ";
+
+/// True when `status` carries a watch-lost signal. Matched by substring
+/// because status codes do not survive the wire: a remote one arrives as
+/// "remote error: watch lost: ...".
+inline bool IsWatchLost(const Status& status) {
+  return status.message().find(kWatchLostPrefix) != std::string::npos;
+}
+
 class WatchHub {
  public:
   /// `bus` must outlive the hub (it lives in the MIndex the hub serves).

@@ -8,6 +8,7 @@
 
 #include "baselines/plain_mindex.h"
 #include "baselines/trivial.h"
+#include "common/clock.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
@@ -110,6 +111,56 @@ TEST(IntegrationTest, DeleteOfMissingObjectIsNotFoundOverTcp) {
   Status never = client.Delete(dataset.objects()[300]);
   EXPECT_EQ(never.code(), StatusCode::kNotFound) << never.ToString();
   EXPECT_EQ(server_handler->get()->index().size(), indexed.size() - 1);
+  server.Stop();
+}
+
+// The paper's cost split adds up over a real socket: client time plus the
+// transport's server and communication time stays within the wall time
+// the caller measured. The client's overhead leaves out the time inside
+// transport calls, so it never counts the wire a second time.
+TEST(IntegrationTest, CostSplitAddsUpToWallTimeOverTcp) {
+  auto dataset = MakeDataset(15);
+  auto pivots = mindex::PivotSet::SelectRandom(dataset.objects(), 8, 16);
+  ASSERT_TRUE(pivots.ok());
+  auto key = secure::SecretKey::Create(std::move(pivots).value(),
+                                       Bytes(16, 0x13));
+  ASSERT_TRUE(key.ok());
+
+  mindex::MIndexOptions options;
+  options.num_pivots = 8;
+  options.bucket_capacity = 40;
+  options.max_level = 4;
+  auto server_handler = secure::EncryptedMIndexServer::Create(options);
+  ASSERT_TRUE(server_handler.ok());
+  net::TcpServer server(server_handler->get());
+  ASSERT_TRUE(server.Start(0).ok());
+  auto transport = net::TcpTransport::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(transport.ok());
+
+  secure::EncryptionClient client(*key, dataset.distance(), transport->get());
+  ASSERT_TRUE(client
+                  .InsertBulk(dataset.objects(),
+                              secure::InsertStrategy::kPermutationOnly, 100)
+                  .ok());
+  client.ResetCosts();
+  transport->get()->ResetCosts();
+
+  Stopwatch wall;
+  for (size_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(client.ApproxKnn(dataset.objects()[i * 7], 10, 200).ok());
+  }
+  const int64_t wall_nanos = wall.ElapsedNanos();
+
+  const net::TransportCosts& wire = transport->get()->costs();
+  const int64_t split_nanos = client.costs().TotalNanos() +
+                              wire.server_nanos + wire.communication_nanos;
+  EXPECT_GT(client.costs().overhead_nanos, 0);
+  EXPECT_GT(wire.communication_nanos, 0);
+  EXPECT_LE(static_cast<double>(split_nanos), 1.02 * wall_nanos)
+      << "client " << client.costs().TotalNanos() << " ns + server "
+      << wire.server_nanos << " ns + communication "
+      << wire.communication_nanos << " ns against " << wall_nanos
+      << " ns of wall time";
   server.Stop();
 }
 

@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
+#include "mindex/permutation.h"
 #include "secure/client.h"
 #include "secure/distance_transform.h"
 #include "secure/privacy.h"
@@ -29,6 +30,41 @@ struct SecureWorld {
   std::unique_ptr<EncryptedMIndexServer> server;
   std::unique_ptr<net::LoopbackTransport> transport;
   std::unique_ptr<EncryptionClient> client;
+};
+
+/// Forwards to another transport and keeps every request it sent and
+/// every response it received, so a test can pin the client's wire bytes
+/// and count what the server shipped.
+class RecordingTransport : public net::Transport {
+ public:
+  explicit RecordingTransport(net::Transport* inner) : inner_(inner) {}
+
+  Result<Bytes> Call(const Bytes& request) override {
+    requests.push_back(request);
+    return Keep(inner_->Call(request));
+  }
+  Result<uint64_t> Submit(const Bytes& request) override {
+    requests.push_back(request);
+    return inner_->Submit(request);
+  }
+  Result<Bytes> Collect(uint64_t ticket) override {
+    return Keep(inner_->Collect(ticket));
+  }
+  const net::TransportCosts& costs() const override {
+    return inner_->costs();
+  }
+  void ResetCosts() override { inner_->ResetCosts(); }
+
+  std::vector<Bytes> requests;
+  std::vector<Bytes> responses;
+
+ private:
+  Result<Bytes> Keep(Result<Bytes> response) {
+    if (response.ok()) responses.push_back(*response);
+    return response;
+  }
+
+  net::Transport* inner_;
 };
 
 SecureWorld MakeSecureWorld(size_t num_pivots = 10, size_t bucket_capacity = 50,
@@ -533,7 +569,134 @@ TEST(EncryptedMIndexTest, SearchCostsArePopulated) {
   EXPECT_EQ(costs.distance_computations, 110u);
   EXPECT_GT(world.transport->costs().bytes_received, 100u * 16u)
       << "candidate ciphertexts dominate the response volume";
+
+  // Every other accounted operation accounts the same way: one decryption
+  // per candidate the server shipped, one distance per pivot and per
+  // refinement. Early stop and range need stored pivot distances.
+  auto precise = MakeSecureWorld();
+  const auto& objects = precise.dataset.objects();
+  ASSERT_TRUE(
+      precise.client->InsertBulk(objects, InsertStrategy::kPrecise, 500).ok());
+  RecordingTransport recorder(precise.transport.get());
+  EncryptionClient client(precise.key, precise.dataset.distance(), &recorder);
+  const uint64_t pivots = 10;
+  const VectorObject& query = objects[0];
+  const double radius =
+      metric::LinearKnnSearch(precise.dataset, query, 30).back().distance;
+  auto shipped = [&](size_t response) {
+    auto decoded = DecodeCandidateResponse(recorder.responses.at(response));
+    EXPECT_TRUE(decoded.ok());
+    return static_cast<uint64_t>(decoded->candidates.size());
+  };
+  auto expect_accounted = [&](const char* op, uint64_t queries,
+                              uint64_t decrypted, uint64_t refined) {
+    EXPECT_GT(decrypted, 0u) << op;
+    EXPECT_EQ(client.costs().candidates_decrypted, decrypted) << op;
+    EXPECT_EQ(client.costs().distance_computations,
+              queries * pivots + refined)
+        << op;
+    EXPECT_GE(client.costs().overhead_nanos, 0) << op;
+    client.ResetCosts();
+    recorder.responses.clear();
+  };
+
+  ASSERT_TRUE(client.RangeSearch(query, radius).ok());
+  expect_accounted("RangeSearch", 1, shipped(0), shipped(0));
+
+  ASSERT_TRUE(client.ApproxKnnSingleCell(query, 5).ok());
+  expect_accounted("ApproxKnnSingleCell", 1, shipped(0), shipped(0));
+
+  // Early stop decrypts a prefix of the ranked candidates and refines
+  // each one it decrypts.
+  ASSERT_TRUE(client.ApproxKnnEarlyStop(query, 5, 200).ok());
+  const uint64_t early_decrypted = client.costs().candidates_decrypted;
+  EXPECT_LE(early_decrypted, shipped(0));
+  expect_accounted("ApproxKnnEarlyStop", 1, early_decrypted,
+                   early_decrypted);
+
+  // A batch decrypts each distinct payload of its dictionary once and
+  // refines every per-query reference.
+  ASSERT_TRUE(
+      client.RangeSearchBatch({objects[0], objects[1], objects[0]}, radius)
+          .ok());
+  auto batch = DecodeBatchCandidateResponse(recorder.responses.at(0));
+  ASSERT_TRUE(batch.ok());
+  uint64_t refs = 0;
+  for (const auto& per_query : batch->batch.per_query) {
+    refs += per_query.size();
+  }
+  expect_accounted("RangeSearchBatch", 3, batch->batch.payloads.size(),
+                   refs);
+
+  // A cursor's open computes the pivot distances; each Next decrypts and
+  // refines one page.
+  auto cursor = client.OpenRangeCursor(query, radius, 8);
+  ASSERT_TRUE(cursor.ok());
+  while (!(*cursor)->exhausted()) {
+    ASSERT_TRUE((*cursor)->Next().ok());
+  }
+  uint64_t paged = 0;
+  for (const Bytes& response : recorder.responses) {
+    auto page = DecodeCursorPage(response);
+    ASSERT_TRUE(page.ok());
+    paged += page->candidates.size();
+  }
+  EXPECT_GT(recorder.responses.size(), 1u);
+  expect_accounted("cursor Next", 1, paged, paged);
 }
+
+// The single searches send exactly the request their query signature
+// encodes: kRangeSearch with the (transformed) pivot distances and
+// radius, kApproxKnn with the permutation, whole cells for the single
+// cell, and the distances too for early stop. The benchmark's traced
+// pass sends these same bytes and checks its answers against the client.
+class ClientWireTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ClientWireTest, SingleSearchesSendTheirSignatureRequest) {
+  const bool with_transform = GetParam();
+  auto world = MakeSecureWorld(10, 50, with_transform);
+  ASSERT_TRUE(world.client
+                  ->InsertBulk(world.dataset.objects(),
+                               InsertStrategy::kPrecise, 500)
+                  .ok());
+  RecordingTransport recorder(world.transport.get());
+  EncryptionClient client(world.key, world.dataset.distance(), &recorder);
+
+  const VectorObject& query = world.dataset.objects()[3];
+  const double radius = 2.5;
+  std::vector<float> distances =
+      world.key.pivots().ComputeDistances(query, *world.dataset.distance());
+  double sent_radius = radius;
+  if (with_transform) {
+    distances = world.key.transform().ApplyAll(distances);
+    sent_radius = world.key.transform().Apply(radius);
+  }
+  mindex::QuerySignature ranked;
+  ranked.permutation = mindex::DistancesToPermutation(distances);
+  mindex::QuerySignature single_cell = ranked;
+  single_cell.whole_cells = true;
+  mindex::QuerySignature with_distances = ranked;
+  with_distances.pivot_distances = distances;
+
+  ASSERT_TRUE(client.RangeSearch(query, radius).ok());
+  ASSERT_TRUE(client.ApproxKnn(query, 5, 60).ok());
+  ASSERT_TRUE(client.ApproxKnnSingleCell(query, 5).ok());
+  ASSERT_TRUE(client.ApproxKnnEarlyStop(query, 5, 60).ok());
+  const std::vector<Bytes> expected = {
+      EncodeRangeSearchRequest(distances, sent_radius),
+      EncodeApproxKnnRequest(ranked, 60),
+      EncodeApproxKnnRequest(single_cell, 1),
+      EncodeApproxKnnRequest(with_distances, 60)};
+  ASSERT_EQ(recorder.requests.size(), expected.size());
+  const char* names[] = {"RangeSearch", "ApproxKnn", "ApproxKnnSingleCell",
+                         "ApproxKnnEarlyStop"};
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(recorder.requests[i], expected[i]) << names[i];
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DistanceTransform, ClientWireTest,
+                         ::testing::Bool());
 
 TEST(EncryptedMIndexTest, CandidateVolumeScalesWithCandSize) {
   auto world = MakeSecureWorld();
