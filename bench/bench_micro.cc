@@ -1,7 +1,7 @@
 // Component microbenchmarks (google-benchmark): the primitive costs the
 // paper's cost model is built from — AES encryption/decryption, SHA-256,
 // distance functions, batched pivot distances, pivot-permutation
-// computation, and serialization.
+// computation, serialization, and the client's bulk write path.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,9 @@
 #include "metric/distance.h"
 #include "mindex/permutation.h"
 #include "mindex/pivot_set.h"
+#include "net/transport.h"
+#include "secure/client.h"
+#include "secure/server.h"
 
 namespace simcloud {
 namespace {
@@ -104,6 +107,45 @@ void BM_PivotDistancesCophir(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pivots.size());
 }
 BENCHMARK(BM_PivotDistancesCophir);
+
+// The client's bulk write path (Alg. 1 and its delete mirror): InsertBulk
+// then DeleteBatch of 500 CoPhIR-like objects with 100 pivots, through
+// LoopbackTransport to an in-memory server. `client_us_per_object` is the
+// client's distance + encryption time per object written (an insert or a
+// delete), the work the client spreads over its cores.
+void BM_BulkWriteCophir(benchmark::State& state) {
+  constexpr size_t kObjects = 500;
+  constexpr size_t kPivots = 100;
+  const metric::Dataset dataset = data::MakeCophirLike(kObjects, 11);
+  auto key = secure::SecretKey::Create(
+      mindex::PivotSet::SelectRandom(dataset.objects(), kPivots, 12).value(),
+      RandomBytes(16, 13));
+  mindex::MIndexOptions options;
+  options.num_pivots = kPivots;
+  auto server = secure::EncryptedMIndexServer::Create(options);
+  if (!key.ok() || !server.ok()) {
+    state.SkipWithError("cannot build the client/server stack");
+    return;
+  }
+  net::LoopbackTransport transport(server->get());
+  secure::EncryptionClient client(*key, dataset.distance(), &transport);
+  for (auto _ : state) {
+    if (!client
+             .InsertBulk(dataset.objects(), secure::InsertStrategy::kPrecise,
+                         kObjects)
+             .ok() ||
+        !client.DeleteBatch(dataset.objects(), kObjects).ok()) {
+      state.SkipWithError("bulk write failed");
+      return;
+    }
+  }
+  const double written = 2.0 * kObjects * state.iterations();
+  state.counters["client_us_per_object"] =
+      (client.costs().distance_nanos + client.costs().encryption_nanos) /
+      1e3 / written;
+  state.SetItemsProcessed(static_cast<int64_t>(written));
+}
+BENCHMARK(BM_BulkWriteCophir)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PivotPermutation(benchmark::State& state) {
   Rng rng(7);

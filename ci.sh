@@ -64,9 +64,13 @@ if [ "${1:-}" = "--tsan" ]; then
   # (exactness is the assertion; TSan proves the relaxed atomics carry
   # it), and its secure-cluster scrape races kGetMetrics snapshots
   # against live mutator/query traffic.
+  # secure_test joined with the parallel bulk passes: its BulkWireTest
+  # runs every multi-object client path above the parallel threshold, so
+  # the worker threads filling their own item slots are race-checked (the
+  # scalar-crypto twin adds nothing threaded and is left out).
   ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
         --timeout 300 \
-        -R 'net_test|pipeline_test|concurrency_test|sharded_test|fuzz_robustness_test|integration_test|churn_test|secure_channel_test|query_engine_test|failover_test|watch_test|cursor_test|obs_test'
+        -R 'net_test|pipeline_test|concurrency_test|sharded_test|fuzz_robustness_test|integration_test|churn_test|secure_channel_test|query_engine_test|failover_test|watch_test|cursor_test|obs_test|secure_test$'
 
   echo "=== churn + failover + watch soaks under TSan, secure channel policy ==="
   # The same soaks with every connection running the PSK handshake +

@@ -15,6 +15,15 @@
 // rest, the server/communication split (net::TransportCosts), so wire
 // time is counted once: over TCP, client + server + communication never
 // exceed the caller's wall time.
+//
+// The bulk and batch methods (InsertBulk, DeleteBatch, SubmitDeleteBatch,
+// RangeSearchBatch, ApproxKnnBatch and their Submit twins) spread their
+// per-object pivot distances and encryption over up to
+// hardware_concurrency() threads inside one call; the requests are those
+// of the serial loop, byte for byte apart from the random IVs. Each
+// parallel pass is charged at its wall time on the caller's clock, never
+// as the sum of the workers' times. Single-object calls stay on the
+// caller's thread. The client still serves one caller at a time.
 
 #ifndef SIMCLOUD_SECURE_CLIENT_H_
 #define SIMCLOUD_SECURE_CLIENT_H_
@@ -22,6 +31,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,7 +60,9 @@ enum class InsertStrategy {
 struct ClientCosts {
   int64_t encryption_nanos = 0;  ///< AES encryption of inserted objects
   int64_t decryption_nanos = 0;  ///< decrypt + deserialize candidates
-  int64_t distance_nanos = 0;    ///< object-pivot + refine distances
+  /// Object-pivot + refine distances; a bulk's distance pass also
+  /// derives the transform and the permutations.
+  int64_t distance_nanos = 0;
   /// The rest of an operation's wall time: serialization, decoding and
   /// bookkeeping. It excludes all time inside transport calls (server
   /// and wire time, which the transport reports).
@@ -409,6 +421,25 @@ class EncryptionClient {
   /// Computes (and counts) distances from `object` to all pivots, through
   /// the distribution-hiding transform when the key enables it.
   std::vector<float> ComputePivotDistances(const metric::VectorObject& object);
+
+  /// What PrepareObjects leaves in each item's routing fields.
+  enum class Routing { kDistances, kPermutation };
+
+  /// The per-object client work of every multi-object path, one item per
+  /// object in order (Algorithm 1 lines 1-8): the id, the pivot distances
+  /// as ComputePivotDistances computes them or only their permutation,
+  /// and with `encrypt` the payload ciphertext. Spread over up to
+  /// hardware_concurrency() threads; a batch of one runs on the caller's
+  /// thread alone. Distances and encryption are two passes, each charged
+  /// at its wall time, and the counts are added once.
+  Result<std::vector<InsertItem>> PrepareObjects(
+      std::span<const metric::VectorObject> objects, Routing routing,
+      bool encrypt);
+
+  /// Encodes the kDeleteBatch request for `objects`: each id with the
+  /// routing permutation its insert used.
+  Result<Bytes> BuildDeleteBatchRequest(
+      std::span<const metric::VectorObject> objects);
 
   /// The single searches' round trip: pivot distances, the request
   /// `encode` builds from them, Call, DecodeCandidateResponse.

@@ -13,6 +13,7 @@
 #include "data/synthetic.h"
 #include "metric/ground_truth.h"
 #include "net/tcp.h"
+#include "obs/metrics.h"
 #include "secure/client.h"
 #include "secure/server.h"
 
@@ -161,6 +162,66 @@ TEST(IntegrationTest, CostSplitAddsUpToWallTimeOverTcp) {
       << wire.server_nanos << " ns + communication "
       << wire.communication_nanos << " ns against " << wall_nanos
       << " ns of wall time";
+  server.Stop();
+}
+
+// The same split holds for the bulk writes, whose per-object work runs on
+// several threads: each parallel pass is charged at its wall time on the
+// caller's clock, never as the sum of the workers' times, and the counts
+// (client and registry) are exact.
+TEST(IntegrationTest, BulkWriteCostSplitAddsUpToWallTimeOverTcp) {
+  auto dataset = MakeDataset(17);
+  const uint64_t num_pivots = 8;
+  auto pivots =
+      mindex::PivotSet::SelectRandom(dataset.objects(), num_pivots, 18);
+  ASSERT_TRUE(pivots.ok());
+  auto key = secure::SecretKey::Create(std::move(pivots).value(),
+                                       Bytes(16, 0x14));
+  ASSERT_TRUE(key.ok());
+
+  mindex::MIndexOptions options;
+  options.num_pivots = num_pivots;
+  options.bucket_capacity = 40;
+  options.max_level = 4;
+  auto server_handler = secure::EncryptedMIndexServer::Create(options);
+  ASSERT_TRUE(server_handler.ok());
+  net::TcpServer server(server_handler->get());
+  ASSERT_TRUE(server.Start(0).ok());
+  auto transport = net::TcpTransport::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(transport.ok());
+
+  secure::EncryptionClient client(*key, dataset.distance(), transport->get());
+  const std::vector<VectorObject>& objects = dataset.objects();
+  ASSERT_EQ(objects.size(), 500u);
+  obs::Counter* distances = obs::Registry::Default().GetCounter(
+      "simcloud_distance_computations_total");
+  const uint64_t distances_before = distances->Value();
+
+  Stopwatch wall;
+  ASSERT_TRUE(
+      client.InsertBulk(objects, secure::InsertStrategy::kPrecise, 500).ok());
+  ASSERT_TRUE(client.DeleteBatch(objects, 500).ok());
+  const int64_t wall_nanos = wall.ElapsedNanos();
+
+  const secure::ClientCosts& costs = client.costs();
+  const net::TransportCosts& wire = transport->get()->costs();
+  const int64_t split_nanos =
+      costs.TotalNanos() + wire.server_nanos + wire.communication_nanos;
+  EXPECT_GT(costs.distance_nanos, 0);
+  EXPECT_GT(costs.encryption_nanos, 0);
+  EXPECT_GT(wire.communication_nanos, 0);
+  EXPECT_LE(static_cast<double>(split_nanos), 1.02 * wall_nanos)
+      << "client " << costs.TotalNanos() << " ns (distance "
+      << costs.distance_nanos << ", encryption " << costs.encryption_nanos
+      << ") + server " << wire.server_nanos << " ns + communication "
+      << wire.communication_nanos << " ns against " << wall_nanos
+      << " ns of wall time";
+  EXPECT_EQ(costs.distance_computations, 1000 * num_pivots);
+  EXPECT_EQ(costs.objects_encrypted, 500u);
+  if (obs::MetricsEnabled()) {
+    EXPECT_EQ(distances->Value() - distances_before, 1000 * num_pivots);
+  }
+  EXPECT_EQ(server_handler->get()->index().size(), 0u);
   server.Stop();
 }
 

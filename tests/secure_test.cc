@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/rng.h"
 #include "data/synthetic.h"
@@ -68,7 +69,8 @@ class RecordingTransport : public net::Transport {
 };
 
 SecureWorld MakeSecureWorld(size_t num_pivots = 10, size_t bucket_capacity = 50,
-                            bool with_transform = false) {
+                            bool with_transform = false,
+                            size_t num_objects = 700) {
   SecureWorld world{
       .key =
           []() {
@@ -81,7 +83,7 @@ SecureWorld MakeSecureWorld(size_t num_pivots = 10, size_t bucket_capacity = 50,
       .client = nullptr};
 
   data::MixtureOptions options;
-  options.num_objects = 700;
+  options.num_objects = num_objects;
   options.dimension = 8;
   options.num_clusters = 6;
   options.seed = 77;
@@ -697,6 +699,140 @@ TEST_P(ClientWireTest, SingleSearchesSendTheirSignatureRequest) {
 
 INSTANTIATE_TEST_SUITE_P(DistanceTransform, ClientWireTest,
                          ::testing::Bool());
+
+// Every multi-object path spreads its per-object work over threads, one
+// slot per object, so its requests are the serial loop's: ids, order,
+// (transformed) pivot distances and permutations, at sizes on both sides
+// of the parallel threshold (more than 8 objects run on more than one
+// thread) and across bulks. Delete and batch-query requests are compared
+// byte for byte; insert payloads carry random IVs, so they are decrypted
+// back to their objects instead.
+class BulkWireTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BulkWireTest, BulkRequestsAreTheSerialLoopsRequests) {
+  const bool with_transform = GetParam();
+  const size_t kBulk = 500;
+  for (InsertStrategy strategy :
+       {InsertStrategy::kPrecise, InsertStrategy::kPermutationOnly}) {
+    auto world = MakeSecureWorld(10, 50, with_transform, 1001);
+    RecordingTransport recorder(world.transport.get());
+    EncryptionClient client(world.key, world.dataset.distance(), &recorder);
+    const auto routing = [&](const VectorObject& object) {
+      std::vector<float> distances = world.key.pivots().ComputeDistances(
+          object, *world.dataset.distance());
+      if (with_transform) distances = world.key.transform().ApplyAll(distances);
+      return distances;
+    };
+    const auto serial_deletes = [&](std::span<const VectorObject> objects) {
+      std::vector<DeleteItem> items;
+      for (const VectorObject& object : objects) {
+        items.push_back(DeleteItem{
+            object.id(), mindex::DistancesToPermutation(routing(object))});
+      }
+      return EncodeDeleteBatchRequest(items);
+    };
+
+    for (size_t size : {1, 8, 9, 500, 1001}) {
+      const bool precise = strategy == InsertStrategy::kPrecise;
+      SCOPED_TRACE("size " + std::to_string(size) +
+                   (precise ? " precise" : " permutation only"));
+      const std::vector<VectorObject> objects(
+          world.dataset.objects().begin(),
+          world.dataset.objects().begin() + size);
+      const std::span<const VectorObject> all(objects);
+      const size_t bulks = (size + kBulk - 1) / kBulk;
+      const auto bulk_of = [&](size_t b) {
+        return all.subspan(b * kBulk, std::min(kBulk, size - b * kBulk));
+      };
+
+      recorder.requests.clear();
+      ASSERT_TRUE(client.InsertBulk(objects, strategy, kBulk).ok());
+      ASSERT_EQ(recorder.requests.size(), bulks);
+      for (size_t b = 0; b < bulks; ++b) {
+        auto request = DecodeRequest(recorder.requests[b]);
+        ASSERT_TRUE(request.ok());
+        const auto bulk = bulk_of(b);
+        ASSERT_EQ(request->insert_items.size(), bulk.size());
+        for (size_t i = 0; i < bulk.size(); ++i) {
+          const InsertItem& item = request->insert_items[i];
+          const std::vector<float> distances = routing(bulk[i]);
+          EXPECT_EQ(item.id, bulk[i].id());
+          if (precise) {
+            EXPECT_EQ(item.pivot_distances, distances);
+            EXPECT_TRUE(item.permutation.empty());
+          } else {
+            EXPECT_TRUE(item.pivot_distances.empty());
+            EXPECT_EQ(item.permutation,
+                      mindex::DistancesToPermutation(distances));
+          }
+          auto decrypted = world.key.DecryptObject(item.payload);
+          ASSERT_TRUE(decrypted.ok());
+          EXPECT_EQ(*decrypted, bulk[i]);
+        }
+      }
+
+      // The batch queries' requests do not depend on the insert strategy.
+      if (precise) {
+        const double radius = 0.5;
+        std::vector<mindex::RangeQuery> ranges;
+        std::vector<mindex::KnnQuery> knns;
+        for (const VectorObject& object : objects) {
+          const std::vector<float> distances = routing(object);
+          ranges.push_back(mindex::RangeQuery{
+              distances, with_transform
+                             ? world.key.transform().Apply(radius)
+                             : radius});
+          mindex::KnnQuery knn;
+          knn.signature.permutation = mindex::DistancesToPermutation(distances);
+          knn.cand_size = 5;
+          knns.push_back(std::move(knn));
+        }
+        recorder.requests.clear();
+        ASSERT_TRUE(client.RangeSearchBatch(objects, radius).ok());
+        ASSERT_TRUE(client.ApproxKnnBatch(objects, 1, 5).ok());
+        ASSERT_EQ(recorder.requests.size(), 2u);
+        EXPECT_EQ(recorder.requests[0], EncodeRangeSearchBatchRequest(ranges));
+        EXPECT_EQ(recorder.requests[1], EncodeApproxKnnBatchRequest(knns));
+      }
+
+      recorder.requests.clear();
+      ASSERT_TRUE(client.DeleteBatch(objects, kBulk).ok());
+      ASSERT_EQ(recorder.requests.size(), bulks);
+      for (size_t b = 0; b < bulks; ++b) {
+        EXPECT_EQ(recorder.requests[b], serial_deletes(bulk_of(b)));
+      }
+
+      ASSERT_TRUE(client.InsertBulk(objects, strategy, kBulk).ok());
+      recorder.requests.clear();
+      auto pending = client.SubmitDeleteBatch(objects);
+      ASSERT_TRUE(pending.ok());
+      ASSERT_TRUE(client.CollectDeleteBatch(&*pending).ok());
+      ASSERT_EQ(recorder.requests.size(), 1u);
+      EXPECT_EQ(recorder.requests[0], serial_deletes(all));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(DistanceTransform, BulkWireTest, ::testing::Bool());
+
+// DeleteBatch runs under an Op like InsertBulk: the request encoding, the
+// permutation sorts and the response decode land in overhead_nanos.
+TEST(EncryptedMIndexTest, DeleteBatchIsAccountedLikeInsertBulk) {
+  auto world = MakeSecureWorld();
+  const auto& objects = world.dataset.objects();
+  ASSERT_TRUE(
+      world.client->InsertBulk(objects, InsertStrategy::kPrecise, 500).ok());
+  world.client->ResetCosts();
+
+  const std::vector<VectorObject> victims(objects.begin(),
+                                          objects.begin() + 50);
+  ASSERT_TRUE(world.client->DeleteBatch(victims).ok());
+  const ClientCosts& costs = world.client->costs();
+  EXPECT_GT(costs.overhead_nanos, 0);
+  EXPECT_GT(costs.distance_nanos, 0);
+  EXPECT_EQ(costs.distance_computations, 50u * 10u);
+  EXPECT_EQ(costs.objects_encrypted, 0u);
+}
 
 TEST(EncryptedMIndexTest, CandidateVolumeScalesWithCandSize) {
   auto world = MakeSecureWorld();
