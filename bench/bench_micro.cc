@@ -1,11 +1,14 @@
 // Component microbenchmarks (google-benchmark): the primitive costs the
 // paper's cost model is built from — AES encryption/decryption, SHA-256,
 // distance functions, batched pivot distances, pivot-permutation
-// computation, serialization, and the client's bulk write path.
+// computation, serialization, the client's bulk write path, and the
+// server's share of a write round.
 
 #include <benchmark/benchmark.h>
 
+#include "common/clock.h"
 #include "common/rng.h"
+#include "common/scratch_dir.h"
 #include "common/serialize.h"
 #include "crypto/cipher.h"
 #include "crypto/sha256.h"
@@ -15,6 +18,7 @@
 #include "mindex/pivot_set.h"
 #include "net/transport.h"
 #include "secure/client.h"
+#include "secure/protocol.h"
 #include "secure/server.h"
 
 namespace simcloud {
@@ -146,6 +150,87 @@ void BM_BulkWriteCophir(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(written));
 }
 BENCHMARK(BM_BulkWriteCophir)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The server's share of a churn write round (Alg. 1 on the server): one
+// kInsertBatch of 500 CoPhIR-like objects (100 pivot distances, a
+// 1.1 KB ciphertext-sized payload) and one kDeleteBatch of the 500 oldest,
+// handled by an EncryptedMIndexServer over a 20,000-entry disk index with
+// the paper's Table 2 CoPhIR options. Request encoding is paused out;
+// `handle_us_per_object` is the handler time per object written.
+void BM_ServerWriteCophir(benchmark::State& state) {
+  constexpr size_t kLive = 20000;
+  constexpr size_t kBulk = 500;
+  constexpr size_t kPool = kLive + kBulk;
+  constexpr size_t kPayloadBytes = 1136;
+  const metric::Dataset dataset = data::MakeCophirLike(kPool, 14);
+  const mindex::PivotSet pivots =
+      mindex::PivotSet::SelectRandom(dataset.objects(), 100, 15).value();
+  std::vector<std::vector<float>> distances(kPool);
+  for (size_t i = 0; i < kPool; ++i) {
+    distances[i] = pivots.ComputeDistances(dataset.objects()[i],
+                                           *dataset.distance());
+  }
+  const ScratchDir dir;
+  mindex::MIndexOptions options;
+  options.num_pivots = 100;
+  options.bucket_capacity = 1000;
+  options.max_level = 8;
+  options.storage_kind = mindex::StorageKind::kDisk;
+  options.stored_prefix_length = 16;
+  options.disk_path = dir.File("server_write.log");
+  auto server = secure::EncryptedMIndexServer::Create(options);
+  if (!server.ok()) {
+    state.SkipWithError("cannot build the server");
+    return;
+  }
+  // Pool slot i holds object i; the live window is [lo, lo + kLive).
+  auto insert_request = [&](size_t first) {
+    std::vector<secure::InsertItem> items(kBulk);
+    for (size_t k = 0; k < kBulk; ++k) {
+      const size_t slot = (first + k) % kPool;
+      items[k].id = dataset.objects()[slot].id();
+      items[k].pivot_distances = distances[slot];
+      items[k].payload = RandomBytes(kPayloadBytes, slot);
+    }
+    return secure::EncodeInsertBatchRequest(items);
+  };
+  auto delete_request = [&](size_t first) {
+    std::vector<secure::DeleteItem> items(kBulk);
+    for (size_t k = 0; k < kBulk; ++k) {
+      const size_t slot = (first + k) % kPool;
+      items[k].id = dataset.objects()[slot].id();
+      items[k].permutation = mindex::DistancesToPermutation(distances[slot]);
+    }
+    return secure::EncodeDeleteBatchRequest(items);
+  };
+  for (size_t first = 0; first < kLive; first += kBulk) {
+    if (!(*server)->Handle(insert_request(first)).ok()) {
+      state.SkipWithError("initial load failed");
+      return;
+    }
+  }
+  size_t lo = 0;
+  int64_t handle_nanos = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const Bytes inserts = insert_request(lo + kLive);
+    const Bytes deletes = delete_request(lo);
+    state.ResumeTiming();
+    Stopwatch watch;
+    const bool ok = (*server)->Handle(inserts).ok() &&
+                    (*server)->Handle(deletes).ok();
+    handle_nanos += watch.ElapsedNanos();
+    if (!ok) {
+      state.SkipWithError("server write failed");
+      return;
+    }
+    lo += kBulk;
+  }
+  const double written = 2.0 * kBulk * state.iterations();
+  state.counters["handle_us_per_object"] = handle_nanos / 1e3 / written;
+  state.SetItemsProcessed(static_cast<int64_t>(written));
+}
+BENCHMARK(BM_ServerWriteCophir)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PivotPermutation(benchmark::State& state) {
   Rng rng(7);

@@ -44,10 +44,7 @@ Status CellTree::CheckRouting(
   return Status::OK();
 }
 
-Status CellTree::Insert(Entry entry) {
-  SIMCLOUD_RETURN_NOT_OK(
-      CheckRouting(entry.permutation, entry.pivot_distances));
-
+void CellTree::Insert(Entry entry) {
   Node* node = root_.get();
   size_t depth = 0;
   node->subtree_size++;
@@ -68,46 +65,102 @@ Status CellTree::Insert(Entry entry) {
   if (node->entries.size() > bucket_capacity_ && depth < max_level_) {
     SplitLeaf(node, depth);
   }
-  return Status::OK();
 }
 
-Result<Entry> CellTree::Remove(metric::ObjectId id,
-                               const Permutation& permutation) {
-  if (!IsValidPermutation(permutation, num_pivots_)) {
-    return Status::InvalidArgument("removal permutation is not valid");
-  }
-  // Locate the leaf along the permutation prefix, remembering the path so
-  // subtree sizes can be fixed up only after the entry is actually found.
+std::vector<std::optional<Entry>> CellTree::RemoveBatch(
+    std::span<const metric::ObjectId> ids,
+    std::span<const Permutation> permutations) {
+  std::vector<std::optional<Entry>> removed(ids.size());
+  // Route every request to its leaf, keeping the path so subtree sizes
+  // are fixed up only for entries actually found. Removals never change
+  // the tree's shape, so routing them all first is what routing each
+  // just before its removal would give.
+  struct Routed {
+    Node* leaf;
+    size_t request;
+    size_t path_begin;  // [path_begin, path_end) in `path`: root to leaf
+    size_t path_end;
+  };
+  std::vector<Routed> routed;
+  routed.reserve(ids.size());
   std::vector<Node*> path;
-  Node* node = root_.get();
-  size_t depth = 0;
-  path.push_back(node);
-  while (!node->is_leaf) {
-    if (depth >= permutation.size()) {
-      return Status::NotFound("permutation prefix exhausted during routing");
-    }
-    auto it = node->children.find(permutation[depth]);
-    if (it == node->children.end()) {
-      return Status::NotFound("no cell under the given permutation prefix");
-    }
-    node = it->second.get();
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const Permutation& permutation = permutations[i];
+    const size_t path_begin = path.size();
+    Node* node = root_.get();
     path.push_back(node);
-    ++depth;
+    for (size_t depth = 0; node != nullptr && !node->is_leaf; ++depth) {
+      auto it = depth < permutation.size()
+                    ? node->children.find(permutation[depth])
+                    : node->children.end();
+      node = it == node->children.end() ? nullptr : it->second.get();
+      if (node != nullptr) path.push_back(node);
+    }
+    if (node == nullptr) {  // no cell under this prefix: NotFound
+      path.resize(path_begin);
+      continue;
+    }
+    routed.push_back({node, i, path_begin, path.size()});
   }
+  // Group by leaf; request order within a leaf. Subtree distance bounds
+  // are left as-is: after a removal they may be wider than necessary,
+  // which only weakens pruning — never correctness.
+  std::stable_sort(routed.begin(), routed.end(),
+                   [](const Routed& a, const Routed& b) {
+                     return std::less<Node*>()(a.leaf, b.leaf);
+                   });
 
-  auto entry_it =
-      std::find_if(node->entries.begin(), node->entries.end(),
-                   [id](const Entry& e) { return e.id == id; });
-  if (entry_it == node->entries.end()) {
-    return Status::NotFound("object " + std::to_string(id) +
-                            " not present in its cell");
+  // (id, request) pairs of one leaf, sorted; `taken` marks the requests
+  // already matched to an entry.
+  std::vector<std::pair<metric::ObjectId, size_t>> wanted;
+  std::vector<uint8_t> taken;
+  for (size_t g = 0; g < routed.size();) {
+    Node* leaf = routed[g].leaf;
+    size_t end = g;
+    wanted.clear();
+    for (; end < routed.size() && routed[end].leaf == leaf; ++end) {
+      wanted.emplace_back(ids[routed[end].request], end);
+    }
+    std::sort(wanted.begin(), wanted.end());
+    taken.assign(wanted.size(), 0);
+    const metric::ObjectId lowest = wanted.front().first;
+    const metric::ObjectId highest = wanted.back().first;
+    size_t pending = wanted.size();
+
+    // One pass: an entry matched by the first untaken request for its id
+    // (requests sorted by arrival) moves out, the rest slide down.
+    std::vector<Entry>& entries = leaf->entries;
+    size_t kept = 0;
+    for (size_t read = 0; read < entries.size(); ++read) {
+      Entry& entry = entries[read];
+      if (pending > 0 && entry.id >= lowest && entry.id <= highest) {
+        auto at = std::lower_bound(
+            wanted.begin(), wanted.end(),
+            std::pair<metric::ObjectId, size_t>(entry.id, 0));
+        size_t slot = static_cast<size_t>(at - wanted.begin());
+        while (slot < wanted.size() && wanted[slot].first == entry.id &&
+               taken[slot] != 0) {
+          ++slot;
+        }
+        if (slot < wanted.size() && wanted[slot].first == entry.id) {
+          taken[slot] = 1;
+          --pending;
+          const Routed& request = routed[wanted[slot].second];
+          removed[request.request] = std::move(entry);
+          for (size_t k = request.path_begin; k < request.path_end; ++k) {
+            path[k]->subtree_size--;
+          }
+          --size_;
+          continue;
+        }
+      }
+      if (kept != read) entries[kept] = std::move(entry);
+      ++kept;
+    }
+    entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(kept),
+                  entries.end());
+    g = end;
   }
-  Entry removed = std::move(*entry_it);
-  node->entries.erase(entry_it);
-  // Subtree distance bounds are left as-is: after a removal they may be
-  // wider than necessary, which only weakens pruning — never correctness.
-  for (Node* visited : path) visited->subtree_size--;
-  --size_;
   return removed;
 }
 
@@ -171,6 +224,21 @@ void CellTree::SplitLeaf(Node* node, size_t depth) {
   }
 }
 
+Status CellTree::CheckRangeQuery(const std::vector<float>& query_distances,
+                                 double radius) const {
+  if (query_distances.size() != num_pivots_) {
+    return Status::InvalidArgument(
+        "range query requires distances to all pivots");
+  }
+  if (ContainsNaN(query_distances)) {
+    return Status::InvalidArgument("range query distances hold a NaN");
+  }
+  if (!(radius >= 0)) {  // also false for a NaN radius
+    return Status::InvalidArgument("range query radius must be >= 0");
+  }
+  return Status::OK();
+}
+
 double CellTree::MinAllowedDistance(
     const std::vector<float>& query_distances,
     const Permutation& query_perm_by_dist,
@@ -188,13 +256,7 @@ Status CellTree::CollectRange(
     const std::vector<float>& query_distances, double radius,
     std::vector<std::pair<double, const Entry*>>* out,
     SearchStats* stats) const {
-  if (query_distances.size() != num_pivots_) {
-    return Status::InvalidArgument(
-        "range query requires distances to all pivots");
-  }
-  if (radius < 0) {
-    return Status::InvalidArgument("range query radius must be >= 0");
-  }
+  SIMCLOUD_RETURN_NOT_OK(CheckRangeQuery(query_distances, radius));
   const Permutation query_perm = DistancesToPermutation(query_distances);
   std::vector<uint32_t> chain;
   chain.reserve(max_level_);
@@ -268,13 +330,7 @@ Status CellTree::CollectRangeBatch(
   std::vector<Permutation> query_perms;
   query_perms.reserve(queries.size());
   for (const RangeQuery& query : queries) {
-    if (query.pivot_distances.size() != num_pivots_) {
-      return Status::InvalidArgument(
-          "range query requires distances to all pivots");
-    }
-    if (query.radius < 0) {
-      return Status::InvalidArgument("range query radius must be >= 0");
-    }
+    SIMCLOUD_RETURN_NOT_OK(CheckRangeQuery(query.pivot_distances, query.radius));
     query_perms.push_back(DistancesToPermutation(query.pivot_distances));
   }
   out->assign(queries.size(), {});
@@ -377,6 +433,9 @@ Status CellTree::CollectApprox(
   if (query.has_distances() &&
       query.pivot_distances.size() != num_pivots_) {
     return Status::InvalidArgument("query distance vector has wrong length");
+  }
+  if (ContainsNaN(query.pivot_distances)) {
+    return Status::InvalidArgument("query distance vector holds a NaN");
   }
 
   // Promise key per pivot: the query-pivot distance when available,

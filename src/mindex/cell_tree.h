@@ -18,6 +18,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -33,22 +35,29 @@ class CellTree {
   /// `max_level` bounds the permutation-prefix depth (>= 1, <= num_pivots).
   CellTree(size_t num_pivots, size_t bucket_capacity, size_t max_level);
 
-  /// Inserts an entry; it must pass CheckRouting.
-  Status Insert(Entry entry);
+  /// Inserts an entry. The caller has checked it with CheckRouting;
+  /// Insert does not check again.
+  void Insert(Entry entry);
 
-  /// The routing checks Insert applies: the permutation has at least
-  /// max_level elements and is a valid partial permutation, and the
-  /// distances are empty or cover every pivot. Lets a batch validate all
-  /// of its items before it mutates anything.
+  /// The routing checks an entry must pass before Insert: the permutation
+  /// has at least max_level elements and is a valid partial permutation,
+  /// and the distances are empty or cover every pivot. Lets a batch
+  /// validate all of its items before it mutates anything.
   Status CheckRouting(const Permutation& permutation,
                       const std::vector<float>& pivot_distances) const;
 
-  /// Removes the entry with the given id, routed by `permutation` (the
-  /// same routing information the insert used). Returns the removed entry
-  /// or NotFound. Leaves are not merged on underflow — the M-Index is an
+  /// Removes, for every request i, the entry with id `ids[i]` from the
+  /// leaf that `permutations[i]` (the routing the insert used) leads to.
+  /// Returns the removed entries in request order, std::nullopt where no
+  /// such entry is left (NotFound). Each touched leaf is compacted once,
+  /// keeping its order; the n-th request for an id within one leaf takes
+  /// the n-th matching entry in leaf order, as n one-by-one removals
+  /// would. Leaves are not merged on underflow — the M-Index is an
   /// insert-mostly structure and split decisions remain stable; empty
   /// leaves are tolerated by search and invariant checks.
-  Result<Entry> Remove(metric::ObjectId id, const Permutation& permutation);
+  std::vector<std::optional<Entry>> RemoveBatch(
+      std::span<const metric::ObjectId> ids,
+      std::span<const Permutation> permutations);
 
   /// Visits every entry in deterministic (pivot-chain) order. `fn`
   /// returning a non-OK status aborts the walk with that status.
@@ -116,6 +125,10 @@ class CellTree {
   };
 
   void SplitLeaf(Node* node, size_t depth);
+  /// A range query's distances cover every pivot and hold no NaN, and its
+  /// radius is >= 0.
+  Status CheckRangeQuery(const std::vector<float>& query_distances,
+                         double radius) const;
   void UpdateDistBounds(Node* node, float dist);
 
   // Smallest query-pivot distance among pivots not in `used_chain`.

@@ -25,6 +25,11 @@ void RankSegmentsDeadestFirst(
             });
 }
 
+Status SimulatedCrash() {
+  return Status::IoError(
+      "simulated crash during compaction (fail_after_payloads test hook)");
+}
+
 }  // namespace
 
 CompactionPass::CompactionPass(std::unique_ptr<BucketStorage>* storage,
@@ -226,20 +231,23 @@ Status CompactionPass::CopyStep() {
   // would evict the query-serving hot set one miss at a time.
   std::vector<Bytes> payloads;
   SIMCLOUD_RETURN_NOT_OK(source->FetchMany(handles, &payloads));
-  for (size_t i = 0; i < handles.size(); ++i) {
-    if (options_.fail_after_payloads > 0 &&
-        report_.payloads_moved >= options_.fail_after_payloads) {
-      keep_temp_file_ = fresh_disk_ != nullptr;
-      return Status::IoError(
-          "simulated crash during compaction (fail_after_payloads test "
-          "hook)");
+  const size_t movable = MovableBeforeHook(handles.size());
+  const std::vector<PayloadView> views(payloads.begin(),
+                                       payloads.begin() + movable);
+  std::vector<PayloadHandle> stored;
+  const Status appended = Relocate(
+      fresh_.get(), std::span(handles).first(movable), views, &stored);
+  if (cache != nullptr) {
+    for (size_t i = 0; i < stored.size(); ++i) {
+      if (cache->Contains(handles[i])) {
+        hot_[handles[i]] = HotPayload{stored[i], std::move(payloads[i])};
+      }
     }
-    Bytes& payload = payloads[i];
-    const bool hot = cache != nullptr && cache->Contains(handles[i]);
-    SIMCLOUD_ASSIGN_OR_RETURN(PayloadHandle stored, fresh_->Store(payload));
-    relocated_[handles[i]] = stored;
-    report_.payloads_moved++;
-    if (hot) hot_[handles[i]] = HotPayload{stored, std::move(payload)};
+  }
+  SIMCLOUD_RETURN_NOT_OK(appended);
+  if (movable < handles.size()) {
+    keep_temp_file_ = fresh_disk_ != nullptr;
+    return SimulatedCrash();
   }
   return Status::OK();
 }
@@ -264,25 +272,46 @@ Status CompactionPass::PartialAppendStep() {
   // the only work here — at most batch_size payload copies — so the
   // exclusive hold stays in the microsecond range.
   BucketStorage* view = storage_->get();
+  std::vector<PayloadHandle> sources;
+  std::vector<PayloadView> payloads;
+  sources.reserve(staged_handles_.size());
+  payloads.reserve(staged_handles_.size());
   for (size_t i = 0; i < staged_handles_.size(); ++i) {
-    const PayloadHandle old_handle = staged_handles_[i];
     // A delete may have freed the payload between the fetch and this
     // append; its bytes die with the segment, nothing to relocate.
-    if (!view->IsLive(old_handle)) continue;
-    if (options_.fail_after_payloads > 0 &&
-        report_.payloads_moved >= options_.fail_after_payloads) {
-      return Status::IoError(
-          "simulated crash during compaction (fail_after_payloads test "
-          "hook)");
-    }
-    SIMCLOUD_ASSIGN_OR_RETURN(PayloadHandle stored,
-                              view->Store(staged_payloads_[i]));
-    relocated_[old_handle] = stored;
-    report_.payloads_moved++;
+    if (!view->IsLive(staged_handles_[i])) continue;
+    sources.push_back(staged_handles_[i]);
+    payloads.push_back(staged_payloads_[i]);
   }
+  const size_t movable = MovableBeforeHook(sources.size());
+  std::vector<PayloadHandle> stored;
+  SIMCLOUD_RETURN_NOT_OK(Relocate(view, std::span(sources).first(movable),
+                                  std::span(payloads).first(movable),
+                                  &stored));
+  if (movable < sources.size()) return SimulatedCrash();
   staged_handles_.clear();
   staged_payloads_.clear();
   return Status::OK();
+}
+
+size_t CompactionPass::MovableBeforeHook(size_t wanted) const {
+  if (options_.fail_after_payloads == 0) return wanted;
+  const uint64_t moved = report_.payloads_moved;
+  if (moved >= options_.fail_after_payloads) return 0;
+  return static_cast<size_t>(
+      std::min<uint64_t>(wanted, options_.fail_after_payloads - moved));
+}
+
+Status CompactionPass::Relocate(BucketStorage* destination,
+                                std::span<const PayloadHandle> sources,
+                                std::span<const PayloadView> payloads,
+                                std::vector<PayloadHandle>* stored) {
+  const Status appended = destination->StoreBatch(payloads, stored);
+  for (size_t i = 0; i < stored->size(); ++i) {
+    relocated_[sources[i]] = (*stored)[i];
+  }
+  report_.payloads_moved += stored->size();
+  return appended;
 }
 
 Status CompactionPass::PrepareSwap() {
@@ -348,12 +377,17 @@ Status CompactionPass::FinishFull(CellTree* tree) {
   const BucketStorage* source = backend();
   // Stragglers: inserts journaled after the last drain. Writers are
   // excluded now, so this set is exactly what arrived since that drain.
+  std::vector<PayloadHandle> stragglers;
   for (PayloadHandle handle : journal_stores_) {
     if (relocated_.count(handle) > 0 || !source->IsLive(handle)) continue;
-    SIMCLOUD_ASSIGN_OR_RETURN(Bytes payload, source->Fetch(handle));
-    SIMCLOUD_ASSIGN_OR_RETURN(PayloadHandle stored, fresh_->Store(payload));
-    relocated_[handle] = stored;
-    report_.payloads_moved++;
+    stragglers.push_back(handle);
+  }
+  if (!stragglers.empty()) {
+    std::vector<Bytes> payloads;
+    SIMCLOUD_RETURN_NOT_OK(source->FetchMany(stragglers, &payloads));
+    const std::vector<PayloadView> views(payloads.begin(), payloads.end());
+    std::vector<PayloadHandle> stored;
+    SIMCLOUD_RETURN_NOT_OK(Relocate(fresh_.get(), stragglers, views, &stored));
   }
   // Mid-pass frees: the fresh-log copy of a payload deleted during the
   // rewrite is garbage the moment it was copied — free it so the new log

@@ -63,6 +63,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -190,6 +191,16 @@ class CompactionPass {
   /// Partial mode: fetch the next batch (shared) / append it (exclusive).
   Status PartialFetchStep();
   Status PartialAppendStep();
+  /// How many of `wanted` payloads may still move before the
+  /// fail_after_payloads test hook fires (all of them when it is off).
+  size_t MovableBeforeHook(size_t wanted) const;
+  /// Appends `payloads`, the bytes of `sources` in order, to
+  /// `destination` with one StoreBatch and records a relocation for every
+  /// payload stored; on error the stored prefix stays recorded.
+  Status Relocate(BucketStorage* destination,
+                  std::span<const PayloadHandle> sources,
+                  std::span<const PayloadView> payloads,
+                  std::vector<PayloadHandle>* stored);
   Status FinishFull(CellTree* tree);
   Status FinishPartial(CellTree* tree);
 

@@ -79,18 +79,26 @@ Result<Permutation> MIndex::RoutingPermutation(
       pivot_distances.size() != options_.num_pivots) {
     return Status::InvalidArgument("pivot distance vector has wrong length");
   }
+  if (ContainsNaN(pivot_distances)) {
+    return Status::InvalidArgument("pivot distance vector holds a NaN");
+  }
   const size_t prefix_len = options_.stored_prefix_length == 0
                                 ? options_.num_pivots
                                 : options_.stored_prefix_length;
+  // The result is what the entry keeps, so it is sized to its length: a
+  // stored prefix of 16 never carries the capacity of a 100-pivot vector.
   if (permutation.empty()) {
-    // Server-side derivation (sorting only; no distance computations,
+    // Server-side derivation (selection only; no distance computations,
     // paper Section 4.2).
-    permutation = prefix_len == options_.num_pivots
-                      ? DistancesToPermutation(pivot_distances)
-                      : DistancesToPermutationPrefix(pivot_distances,
-                                                     prefix_len);
-  } else if (permutation.size() > prefix_len) {
-    permutation.resize(prefix_len);
+    return DistancesToPermutationPrefix(pivot_distances, prefix_len);
+  }
+  if (permutation.size() > prefix_len) {
+    return Permutation(permutation.begin(),
+                       permutation.begin() +
+                           static_cast<std::ptrdiff_t>(prefix_len));
+  }
+  if (permutation.capacity() > permutation.size()) {
+    permutation.shrink_to_fit();
   }
   return permutation;
 }
@@ -122,62 +130,63 @@ Status MIndex::InsertBatch(std::vector<Insertion> items) {
   // Pass 2: append the payloads in permutation-prefix order, the order
   // ForEachEntry visits cells, so this batch's share of each cell is
   // byte-adjacent in the log. Stable: equal prefixes keep request order.
+  // One StoreBatch writes them all.
   std::vector<size_t> order(accepted);
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     return items[a].permutation < items[b].permutation;
   });
-  // A payload whose entry never enters the tree is freed, not leaked as
-  // live.
-  auto free_unindexed = [&](PayloadHandle handle) {
-    const Status freed = storage_->Free(handle);
-    if (freed.ok()) {
-      bus_.JournalFree(handle);
-    } else {
-      SIMCLOUD_LOG(kWarn) << "cannot free payload of rejected insert: "
-                          << freed.ToString();
-    }
-  };
+  std::vector<PayloadView> payloads;
+  payloads.reserve(accepted);
+  for (size_t i : order) payloads.push_back(items[i].payload);
+  std::vector<PayloadHandle> stored;
+  const Status appended = storage_->StoreBatch(payloads, &stored);
   constexpr PayloadHandle kUnstored = ~PayloadHandle{0};
   std::vector<PayloadHandle> handles(accepted, kUnstored);
-  for (size_t i : order) {
-    Result<PayloadHandle> handle = storage_->Store(items[i].payload);
-    if (!handle.ok()) {
-      // Keep the request-order prefix whose payloads all reached the log.
-      rejected = handle.status();
-      accepted = static_cast<size_t>(
-          std::find(handles.begin(), handles.end(), kUnstored) -
-          handles.begin());
-      for (size_t j = accepted; j < handles.size(); ++j) {
-        if (handles[j] != kUnstored) free_unindexed(handles[j]);
-      }
-      break;
-    }
-    handles[i] = *handle;
+  for (size_t k = 0; k < stored.size(); ++k) {
+    handles[order[k]] = stored[k];
     // Mid-pass relocation journal: a background pass must catch this
     // payload up into the log it is rewriting (we hold the writer lock, as
     // does anyone arming the bus's journal).
-    bus_.JournalStore(*handle);
+    bus_.JournalStore(stored[k]);
+  }
+  if (!appended.ok()) {
+    // Keep the request-order prefix whose payloads all reached the log; a
+    // payload whose entry never enters the tree is freed, not leaked as
+    // live.
+    rejected = appended;
+    accepted = static_cast<size_t>(
+        std::find(handles.begin(), handles.end(), kUnstored) -
+        handles.begin());
+    for (size_t j = accepted; j < handles.size(); ++j) {
+      if (handles[j] == kUnstored) continue;
+      const Status freed = storage_->Free(handles[j]);
+      if (freed.ok()) {
+        bus_.JournalFree(handles[j]);
+      } else {
+        SIMCLOUD_LOG(kWarn) << "cannot free payload of rejected insert: "
+                            << freed.ToString();
+      }
+    }
   }
 
   // Pass 3: enter the tree in request order, which keeps every leaf's
   // entry order, and with it every ranking tie, as item-by-item inserts
-  // would leave it.
+  // would leave it. The events follow in one publish, still under the
+  // caller's writer lock: the bus sequence therefore matches the order
+  // mutations became visible to queries.
+  std::vector<MutationEvent> events(accepted);
   for (size_t i = 0; i < accepted; ++i) {
     Insertion& item = items[i];
-    Status inserted = tree_.Insert(
-        Entry{item.id, std::move(item.permutation), item.pivot_distances,
-              handles[i], static_cast<uint32_t>(item.payload.size())});
-    if (!inserted.ok()) {  // unreachable: pass 1 applied the same checks
-      for (size_t j = i; j < accepted; ++j) free_unindexed(handles[j]);
-      return inserted;
-    }
-    // Publish only after the tree accepted the entry, still under the
-    // caller's writer lock: the bus sequence therefore matches the order
-    // mutations became visible to queries.
-    bus_.Publish(MutationKind::kInsert, item.id,
-                 std::move(item.pivot_distances), std::move(item.payload));
+    tree_.Insert(Entry{item.id, std::move(item.permutation),
+                       item.pivot_distances, handles[i],
+                       static_cast<uint32_t>(item.payload.size())});
+    events[i].kind = MutationKind::kInsert;
+    events[i].id = item.id;
+    events[i].pivot_distances = std::move(item.pivot_distances);
+    events[i].payload = std::move(item.payload);
   }
+  bus_.Publish(std::move(events));
   return rejected;
 }
 
@@ -211,39 +220,35 @@ Result<uint64_t> MIndex::DeleteBatch(const std::vector<Deletion>& deletions) {
     permutations.push_back(std::move(permutation));
   }
 
-  // Remove every entry, collecting the dead handles, then free them in
-  // one pass and evaluate the compaction trigger once — a delete-heavy
+  // Remove every entry in one pass per touched leaf, then free the dead
+  // handles and evaluate the compaction trigger once — a delete-heavy
   // batch costs at most one compaction, not one per item.
-  std::vector<PayloadHandle> freed;
-  std::vector<metric::ObjectId> freed_ids;
-  freed.reserve(deletions.size());
-  freed_ids.reserve(deletions.size());
-  auto free_collected = [&]() -> Status {
-    for (size_t i = 0; i < freed.size(); ++i) {
-      SIMCLOUD_RETURN_NOT_OK(storage_->Free(freed[i]));
-      bus_.JournalFree(freed[i]);
-      // Published per delete, in removal order — watchers see the batch
-      // as its constituent deletes, each with its own sequence.
-      bus_.Publish(MutationKind::kDelete, freed_ids[i], {}, {});
-    }
-    return Status::OK();
-  };
-  for (size_t i = 0; i < deletions.size(); ++i) {
-    Result<Entry> removed = tree_.Remove(deletions[i].id, permutations[i]);
-    if (!removed.ok()) {
-      if (removed.status().code() == StatusCode::kNotFound) continue;
-      // Unreachable after the up-front validation, but if the tree ever
-      // grows a new failure mode the entries already removed must not
-      // leak their storage handles.
-      SIMCLOUD_RETURN_NOT_OK(free_collected());
-      return removed.status();
-    }
-    freed.push_back(removed->payload_handle);
-    freed_ids.push_back(deletions[i].id);
+  std::vector<metric::ObjectId> ids;
+  ids.reserve(deletions.size());
+  for (const Deletion& deletion : deletions) ids.push_back(deletion.id);
+  std::vector<std::optional<Entry>> removed =
+      tree_.RemoveBatch(ids, permutations);
+
+  // Frees and events follow request order. Watchers see the batch as its
+  // constituent deletes, each with its own sequence, published together.
+  std::vector<MutationEvent> events;
+  events.reserve(deletions.size());
+  Status freed = Status::OK();
+  for (size_t i = 0; i < removed.size() && freed.ok(); ++i) {
+    if (!removed[i].has_value()) continue;  // NotFound: skipped
+    const PayloadHandle handle = removed[i]->payload_handle;
+    freed = storage_->Free(handle);
+    if (!freed.ok()) break;
+    bus_.JournalFree(handle);
+    MutationEvent& event = events.emplace_back();
+    event.kind = MutationKind::kDelete;
+    event.id = ids[i];
   }
-  SIMCLOUD_RETURN_NOT_OK(free_collected());
+  const uint64_t deleted = events.size();
+  bus_.Publish(std::move(events));
+  SIMCLOUD_RETURN_NOT_OK(freed);
   MaybeCompact();
-  return static_cast<uint64_t>(freed.size());
+  return deleted;
 }
 
 void MIndex::MaybeCompact() {

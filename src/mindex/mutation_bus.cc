@@ -12,24 +12,17 @@ namespace mindex {
 MutationBus::MutationBus(size_t ring_capacity)
     : capacity_(ring_capacity == 0 ? 1 : ring_capacity) {}
 
-uint64_t MutationBus::Publish(MutationKind kind, metric::ObjectId id,
-                              std::vector<float> pivot_distances,
-                              Bytes payload) {
-  uint64_t seq;
+void MutationBus::Publish(std::vector<MutationEvent> events) {
+  if (events.empty()) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    MutationEvent event;
-    event.seq = next_seq_++;
-    event.kind = kind;
-    event.id = id;
-    event.pivot_distances = std::move(pivot_distances);
-    event.payload = std::move(payload);
-    seq = event.seq;
-    ring_.push_back(std::move(event));
+    for (MutationEvent& event : events) {
+      event.seq = next_seq_++;
+      ring_.push_back(std::move(event));
+    }
     while (ring_.size() > capacity_) ring_.pop_front();
   }
   cv_.notify_all();
-  return seq;
 }
 
 Status MutationBus::ReplayAfter(uint64_t after_seq,

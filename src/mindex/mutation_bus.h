@@ -68,12 +68,12 @@ class MutationBus {
 
   // --- Event side (bus mutex) ---------------------------------------
 
-  /// Publishes one event; assigns and returns its sequence number.
+  /// Publishes a batch's events in order under one lock and one wake-up,
+  /// assigning each its sequence number (the caller's `seq` is ignored).
   /// Callers hold the index writer lock, which orders concurrent
   /// publishes; the internal mutex only protects against concurrent
   /// readers.
-  uint64_t Publish(MutationKind kind, metric::ObjectId id,
-                   std::vector<float> pivot_distances, Bytes payload);
+  void Publish(std::vector<MutationEvent> events);
 
   /// Appends every retained event with seq > `after_seq` to `*out`, in
   /// order. OutOfRange when events after `after_seq` have already fallen

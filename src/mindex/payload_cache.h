@@ -52,8 +52,9 @@ class PayloadCache : public BucketStorage {
   PayloadCache(std::unique_ptr<BucketStorage> base, uint64_t capacity_bytes,
                size_t num_shards = 16);
 
-  Result<PayloadHandle> Store(const Bytes& payload) override {
-    return base_->Store(payload);
+  Status StoreBatch(std::span<const PayloadView> payloads,
+                    std::vector<PayloadHandle>* handles) override {
+    return base_->StoreBatch(payloads, handles);
   }
   Result<Bytes> Fetch(PayloadHandle handle) const override;
   Status FetchMany(std::span<const PayloadHandle> handles,

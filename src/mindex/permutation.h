@@ -21,10 +21,13 @@ using Permutation = std::vector<uint32_t>;
 
 /// Computes the pivot permutation from object-pivot distances.
 /// distances[i] is d(p_i, o); returns the full permutation of 0..n-1.
+/// `distances` must hold no NaN: the order is undefined for one.
 Permutation DistancesToPermutation(const std::vector<float>& distances);
 
-/// Computes only the first `prefix_len` elements of the permutation
-/// (partial sort; cheaper when only routing depth is needed).
+/// Computes only the first `prefix_len` elements of the permutation, the
+/// same elements DistancesToPermutation would put first, in a vector of
+/// capacity `prefix_len` (the full permutation when `prefix_len` covers
+/// every pivot). `distances` must hold no NaN (see ContainsNaN).
 Permutation DistancesToPermutationPrefix(const std::vector<float>& distances,
                                          size_t prefix_len);
 
@@ -42,8 +45,13 @@ double PrefixFootrule(const Permutation& a, const Permutation& b,
                       size_t prefix_len, size_t num_pivots);
 
 /// True iff `perm` is a valid (partial) permutation of 0..num_pivots-1:
-/// all elements distinct and in range.
+/// all elements distinct and in range. Allocates nothing for up to 4096
+/// pivots.
 bool IsValidPermutation(const Permutation& perm, size_t num_pivots);
+
+/// True iff some value is NaN. Routing and range checks reject such a
+/// distance vector: ordering by distance is undefined once a value is NaN.
+bool ContainsNaN(const std::vector<float>& values);
 
 }  // namespace mindex
 }  // namespace simcloud

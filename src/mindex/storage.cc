@@ -48,6 +48,13 @@ DiskReadPlan BuildDiskReadPlan(std::span<const PayloadHandle> handles,
   return plan;
 }
 
+Result<PayloadHandle> BucketStorage::Store(const Bytes& payload) {
+  const PayloadView view(payload);
+  std::vector<PayloadHandle> handles;
+  SIMCLOUD_RETURN_NOT_OK(StoreBatch({&view, 1}, &handles));
+  return handles[0];
+}
+
 Status BucketStorage::FetchMany(std::span<const PayloadHandle> handles,
                                 std::vector<Bytes>* out) const {
   out->clear();
@@ -84,11 +91,17 @@ Result<uint64_t> BucketStorage::ReleaseDeadSegments(
                                " storage cannot release segments in place");
 }
 
-Result<PayloadHandle> MemoryStorage::Store(const Bytes& payload) {
-  payloads_.push_back(payload);
-  live_.push_back(true);
-  total_bytes_ += payload.size();
-  return static_cast<PayloadHandle>(payloads_.size() - 1);
+Status MemoryStorage::StoreBatch(std::span<const PayloadView> payloads,
+                                 std::vector<PayloadHandle>* handles) {
+  handles->clear();
+  handles->reserve(payloads.size());
+  for (PayloadView payload : payloads) {
+    handles->push_back(static_cast<PayloadHandle>(payloads_.size()));
+    payloads_.emplace_back(payload.begin(), payload.end());
+    live_.push_back(true);
+    total_bytes_ += payload.size();
+  }
+  return Status::OK();
 }
 
 Status MemoryStorage::CheckLive(PayloadHandle handle) const {
@@ -232,34 +245,77 @@ Status DiskStorage::ReadExactly(uint8_t* dst, size_t len,
   return Status::OK();
 }
 
-Result<PayloadHandle> DiskStorage::Store(const Bytes& payload) {
-  SIMCLOUD_RETURN_NOT_OK(CheckOpen());
-  size_t done = 0;
-  while (done < payload.size()) {
-    const ssize_t n = ::pwrite(fd_, payload.data() + done,
-                               payload.size() - done,
-                               static_cast<off_t>(next_offset_ + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("pwrite failed on " + path_ + ": " +
-                             std::strerror(errno));
-    }
-    done += static_cast<size_t>(n);
-  }
+PayloadHandle DiskStorage::RecordAppend(uint64_t length) {
   const PayloadHandle handle = offsets_.size();
   offsets_.push_back(next_offset_);
-  lengths_.push_back(static_cast<uint32_t>(payload.size()));
+  lengths_.push_back(static_cast<uint32_t>(length));
   live_.push_back(true);
   const size_t segment = next_offset_ / kSegmentBytes;
   if (segment >= segments_.size()) segments_.resize(segment + 1);
   Segment& seg = segments_[segment];
   if (seg.payload_count == 0) seg.first_offset = next_offset_;
-  seg.bytes += payload.size();
+  seg.bytes += length;
   seg.payload_count++;
-  seg.end_offset = next_offset_ + payload.size();
-  next_offset_ += payload.size();
-  total_bytes_ += payload.size();
+  seg.end_offset = next_offset_ + length;
+  next_offset_ += length;
+  total_bytes_ += length;
   return handle;
+}
+
+Status DiskStorage::StoreBatch(std::span<const PayloadView> payloads,
+                               std::vector<PayloadHandle>* handles) {
+  handles->clear();
+  SIMCLOUD_RETURN_NOT_OK(CheckOpen());
+  handles->reserve(payloads.size());
+  std::vector<iovec> iov;
+  for (size_t first = 0; first < payloads.size();) {
+    const size_t last = std::min(payloads.size(),
+                                 first + static_cast<size_t>(IOV_MAX));
+    iov.clear();
+    for (size_t k = first; k < last; ++k) {
+      // pwritev never writes through iov_base; the cast only drops const.
+      iov.push_back({const_cast<uint8_t*>(payloads[k].data()),
+                     payloads[k].size()});
+    }
+    // `next` is the first iovec with bytes still to write; every payload
+    // before it is in the log and gets its handle as soon as it is.
+    size_t next = 0;
+    size_t issued = first;
+    uint64_t written = 0;  // bytes past next_offset_ already in the log
+    for (;;) {
+      while (next < iov.size() && iov[next].iov_len == 0) ++next;
+      for (; issued < first + next; ++issued) {
+        const uint64_t length = payloads[issued].size();
+        handles->push_back(RecordAppend(length));
+        written -= length;
+      }
+      if (next == iov.size()) break;
+      const int count = static_cast<int>(iov.size() - next);
+      const ssize_t n =
+          ::pwritev(fd_, iov.data() + next, count,
+                    static_cast<off_t>(next_offset_ + written));
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return Status::IoError("pwritev failed on " + path_ + ": " +
+                               std::strerror(errno));
+      }
+      if (n == 0) {
+        return Status::IoError("pwritev wrote nothing on " + path_);
+      }
+      // Advance past the bytes written, trimming a partly written iovec.
+      written += static_cast<uint64_t>(n);
+      size_t left = static_cast<size_t>(n);
+      while (left > 0) {
+        const size_t step = std::min(left, iov[next].iov_len);
+        iov[next].iov_base = static_cast<uint8_t*>(iov[next].iov_base) + step;
+        iov[next].iov_len -= step;
+        left -= step;
+        if (iov[next].iov_len == 0) ++next;
+      }
+    }
+    first = last;
+  }
+  return Status::OK();
 }
 
 Status DiskStorage::Free(PayloadHandle handle) {

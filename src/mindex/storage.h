@@ -16,6 +16,14 @@
 // decorator (payload_cache.h) adds an in-memory hot set on top of either
 // backend.
 //
+// Batched writes: StoreBatch appends a whole batch of payloads in order,
+// and it is the one store a backend implements. DiskStorage writes the
+// batch with one pwritev(2) per IOV_MAX payloads and issues a handle only
+// for a payload whose bytes all reached the log; MemoryStorage copies the
+// batch in one pass. Store(payload) is a batch of one. MIndex::InsertBatch
+// appends each insert batch with one call, and the compactor relocates
+// each step's payloads with one call.
+//
 // Deletes and compaction: both backends are append-only logs — a payload,
 // once stored, is never rewritten in place. Free(handle) marks a payload
 // dead; the bytes stay in the log (TotalBytes does not shrink) but the
@@ -41,6 +49,9 @@ namespace mindex {
 
 /// Handle to a stored payload.
 using PayloadHandle = uint64_t;
+
+/// The bytes of one payload to store; it need not be owned by a Bytes.
+using PayloadView = std::span<const uint8_t>;
 
 /// One coalesced disk read: `count` payloads that sit contiguously in the
 /// log, covering plan.order[first .. first+count).
@@ -69,8 +80,13 @@ DiskReadPlan BuildDiskReadPlan(std::span<const PayloadHandle> handles,
                                std::span<const uint64_t> offsets,
                                std::span<const uint32_t> lengths);
 
-/// Abstract payload store. Implementations must support concurrent Fetch /
-/// FetchMany calls; Store/Free calls are serialized by the index.
+/// Abstract payload store: an append-only log of opaque payloads. A
+/// backend implements one write, StoreBatch, which appends a batch in
+/// order and hands out handles only for payloads that reached the log in
+/// full; Store is StoreBatch of one, so writes have a single
+/// implementation per backend. Reads are Fetch and the batched FetchMany.
+/// Implementations must support concurrent Fetch / FetchMany calls;
+/// StoreBatch/Free calls are serialized by the index.
 class BucketStorage {
  public:
   /// Live-vs-dead byte accounting of the append-only log. `dead` bytes
@@ -115,8 +131,15 @@ class BucketStorage {
 
   virtual ~BucketStorage() = default;
 
-  /// Persists `payload` and returns a handle for later retrieval.
-  virtual Result<PayloadHandle> Store(const Bytes& payload) = 0;
+  /// Appends `payloads` to the log in order. `*handles` is cleared and
+  /// then receives one handle per payload whose bytes all reached the
+  /// log, in order: every payload on OK, the stored prefix on error. No
+  /// handle is issued for a payload that was not fully written.
+  virtual Status StoreBatch(std::span<const PayloadView> payloads,
+                            std::vector<PayloadHandle>* handles) = 0;
+
+  /// Persists one payload (StoreBatch of one) and returns its handle.
+  Result<PayloadHandle> Store(const Bytes& payload);
 
   /// Retrieves a payload previously stored. Freed handles are NotFound.
   virtual Result<Bytes> Fetch(PayloadHandle handle) const = 0;
@@ -191,7 +214,8 @@ class BucketStorage {
 /// (and counted in TotalBytes) until compaction rebuilds the store.
 class MemoryStorage : public BucketStorage {
  public:
-  Result<PayloadHandle> Store(const Bytes& payload) override;
+  Status StoreBatch(std::span<const PayloadView> payloads,
+                    std::vector<PayloadHandle>* handles) override;
   Result<Bytes> Fetch(PayloadHandle handle) const override;
   Status FetchMany(std::span<const PayloadHandle> handles,
                    std::vector<Bytes>* out) const override;
@@ -233,7 +257,10 @@ class DiskStorage : public BucketStorage {
   static Result<std::unique_ptr<DiskStorage>> Create(const std::string& path);
   ~DiskStorage() override;
 
-  Result<PayloadHandle> Store(const Bytes& payload) override;
+  /// Writes the batch at the log's tail with one pwritev per IOV_MAX
+  /// payloads, resuming after short writes and EINTR.
+  Status StoreBatch(std::span<const PayloadView> payloads,
+                    std::vector<PayloadHandle>* handles) override;
   Result<Bytes> Fetch(PayloadHandle handle) const override;
   /// Sorts handles by offset and reads each run of adjacent payloads with
   /// one preadv into the output buffers (at most IOV_MAX per call).
@@ -303,6 +330,9 @@ class DiskStorage : public BucketStorage {
   /// pread exactly `len` bytes at `offset`; short reads (EOF before `len`
   /// bytes, e.g. a truncated backing file) are Corruption, not silence.
   Status ReadExactly(uint8_t* dst, size_t len, uint64_t offset) const;
+  /// Accounts one payload of `length` bytes written at the log's tail and
+  /// returns its handle.
+  PayloadHandle RecordAppend(uint64_t length);
 
   int fd_;
   std::string path_;

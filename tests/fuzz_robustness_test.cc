@@ -66,8 +66,153 @@ TEST_P(FuzzSeedTest, ResponseDecodersNeverCrashOnRandomBytes) {
     (void)secure::DecodeCandidateResponse(garbage);
     (void)secure::DecodeInsertResponse(garbage);
     (void)secure::DecodeStatsResponse(garbage);
+    (void)secure::DecodeBatchCandidateResponse(garbage);
+    (void)secure::DecodeCompactResponse(garbage);
     // A malicious server can also push arbitrary watch frames.
     (void)secure::DecodeWatchFrame(garbage);
+  }
+}
+
+uint64_t RandomCounter(Rng* rng) {
+  // Varints of every width, 1 to 10 bytes.
+  return rng->NextU64() >> rng->NextBounded(64);
+}
+
+mindex::SearchStats RandomStats(Rng* rng) {
+  mindex::SearchStats stats;
+  stats.cells_visited = RandomCounter(rng);
+  stats.cells_pruned = RandomCounter(rng);
+  stats.entries_scanned = RandomCounter(rng);
+  stats.entries_filtered = RandomCounter(rng);
+  stats.candidates = RandomCounter(rng);
+  return stats;
+}
+
+bool SameStats(const mindex::SearchStats& a, const mindex::SearchStats& b) {
+  return a.cells_visited == b.cells_visited &&
+         a.cells_pruned == b.cells_pruned &&
+         a.entries_scanned == b.entries_scanned &&
+         a.entries_filtered == b.entries_filtered &&
+         a.candidates == b.candidates;
+}
+
+// The batched search response a malicious server could shape: round trip,
+// every truncation, and bit flips. A response that still decodes must
+// reference only payloads inside its own dictionary.
+TEST_P(FuzzSeedTest, BatchCandidateResponseRoundTripsAndFailsCleanly) {
+  Rng rng(GetParam() + 700);
+  for (int iter = 0; iter < 40; ++iter) {
+    mindex::BatchCandidates batch;
+    batch.payloads.resize(rng.NextBounded(6));
+    for (Bytes& payload : batch.payloads) payload = RandomBytes(&rng, 40);
+    std::vector<mindex::SearchStats> stats(rng.NextBounded(5));
+    batch.per_query.resize(stats.size());
+    for (size_t q = 0; q < stats.size(); ++q) {
+      stats[q] = RandomStats(&rng);
+      const size_t refs = batch.payloads.empty() ? 0 : rng.NextBounded(6);
+      for (size_t r = 0; r < refs; ++r) {
+        mindex::BatchCandidateRef ref;
+        ref.id = RandomCounter(&rng);
+        ref.score = static_cast<double>(rng.NextFloat()) * 100.0 - 50.0;
+        ref.payload_index =
+            static_cast<uint32_t>(rng.NextBounded(batch.payloads.size()));
+        batch.per_query[q].push_back(ref);
+      }
+    }
+    const Bytes wire = secure::EncodeBatchCandidateResponse(batch, stats);
+
+    auto decoded = secure::DecodeBatchCandidateResponse(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->batch.payloads, batch.payloads);
+    ASSERT_EQ(decoded->query_count(), stats.size());
+    for (size_t q = 0; q < stats.size(); ++q) {
+      EXPECT_TRUE(SameStats(decoded->stats[q], stats[q])) << "query " << q;
+      ASSERT_EQ(decoded->batch.per_query[q].size(), batch.per_query[q].size());
+      for (size_t r = 0; r < batch.per_query[q].size(); ++r) {
+        const auto& got = decoded->batch.per_query[q][r];
+        const auto& want = batch.per_query[q][r];
+        EXPECT_EQ(got.id, want.id);
+        EXPECT_EQ(got.score, want.score);
+        EXPECT_EQ(got.payload_index, want.payload_index);
+      }
+    }
+    EXPECT_EQ(secure::EncodeBatchCandidateResponse(decoded->batch,
+                                                   decoded->stats),
+              wire);
+
+    // Every field is required, so every strict prefix is refused.
+    for (size_t cut = 0; cut < wire.size(); ++cut) {
+      const Bytes prefix(wire.begin(), wire.begin() + cut);
+      EXPECT_FALSE(secure::DecodeBatchCandidateResponse(prefix).ok())
+          << "prefix of " << cut << " of " << wire.size() << " bytes";
+    }
+
+    for (int flip = 0; flip < 30; ++flip) {
+      auto mutated = secure::DecodeBatchCandidateResponse(
+          Corrupt(wire, &rng, 1 + flip % 4));
+      if (!mutated.ok()) continue;
+      ASSERT_EQ(mutated->stats.size(), mutated->query_count());
+      for (size_t q = 0; q < mutated->query_count(); ++q) {
+        for (const auto& ref : mutated->batch.per_query[q]) {
+          ASSERT_LT(ref.payload_index, mutated->batch.payloads.size());
+        }
+        (void)mutated->Materialize(q);
+      }
+    }
+  }
+}
+
+// kCompact's report: the last three fields were appended later and are
+// optional, so exactly one strict prefix (the original five fields)
+// decodes; every other truncation is refused, and bit flips fail cleanly.
+TEST_P(FuzzSeedTest, CompactResponseRoundTripsAndFailsCleanly) {
+  Rng rng(GetParam() + 800);
+  for (int iter = 0; iter < 60; ++iter) {
+    mindex::CompactionReport report;
+    report.compacted = rng.NextBounded(2) == 1;
+    report.bytes_before = RandomCounter(&rng);
+    report.bytes_after = RandomCounter(&rng);
+    report.payloads_moved = RandomCounter(&rng);
+    report.reclaimed_bytes = RandomCounter(&rng);
+    report.pause_nanos = RandomCounter(&rng);
+    report.segments_released = RandomCounter(&rng);
+    report.mode = rng.NextBounded(2) == 1 ? mindex::CompactionMode::kPartial
+                                          : mindex::CompactionMode::kFull;
+    const Bytes wire = secure::EncodeCompactResponse(report);
+
+    auto decoded = secure::DecodeCompactResponse(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->compacted, report.compacted);
+    EXPECT_EQ(decoded->bytes_before, report.bytes_before);
+    EXPECT_EQ(decoded->bytes_after, report.bytes_after);
+    EXPECT_EQ(decoded->payloads_moved, report.payloads_moved);
+    EXPECT_EQ(decoded->reclaimed_bytes, report.reclaimed_bytes);
+    EXPECT_EQ(decoded->pause_nanos, report.pause_nanos);
+    EXPECT_EQ(decoded->segments_released, report.segments_released);
+    EXPECT_EQ(decoded->mode, report.mode);
+    EXPECT_EQ(secure::EncodeCompactResponse(*decoded), wire);
+
+    size_t decodable_prefixes = 0;
+    for (size_t cut = 0; cut < wire.size(); ++cut) {
+      auto legacy = secure::DecodeCompactResponse(
+          Bytes(wire.begin(), wire.begin() + cut));
+      if (!legacy.ok()) continue;
+      ++decodable_prefixes;
+      EXPECT_EQ(legacy->bytes_before, report.bytes_before);
+      EXPECT_EQ(legacy->reclaimed_bytes, report.reclaimed_bytes);
+      EXPECT_EQ(legacy->pause_nanos, 0u);
+      EXPECT_EQ(legacy->segments_released, 0u);
+      EXPECT_EQ(legacy->mode, mindex::CompactionMode::kFull);
+    }
+    EXPECT_EQ(decodable_prefixes, 1u);
+
+    for (int flip = 0; flip < 30; ++flip) {
+      auto mutated =
+          secure::DecodeCompactResponse(Corrupt(wire, &rng, 1 + flip % 4));
+      if (!mutated.ok()) continue;
+      EXPECT_TRUE(mutated->mode == mindex::CompactionMode::kFull ||
+                  mutated->mode == mindex::CompactionMode::kPartial);
+    }
   }
 }
 

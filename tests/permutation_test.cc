@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+
 #include "common/rng.h"
 #include "mindex/permutation.h"
 
@@ -39,6 +43,48 @@ TEST(PermutationTest, PrefixMatchesFullPermutation) {
       }
     }
   }
+}
+
+// The prefix is a bounded selection, not a partial sort; it must pick and
+// order exactly what partial_sort with the paper's comparator picks, for
+// every prefix length, with ties and signed zeros (-0.0 == +0.0, so the
+// index decides), and keep no capacity beyond the prefix.
+TEST(PermutationTest, PrefixSelectionEqualsPartialSortReference) {
+  Rng rng(17);
+  const std::vector<float> pool = {-0.0f, 0.0f, 1.0f, 1.0f, 2.5f,
+                                   -3.0f, 7.0f, std::numeric_limits<float>::infinity()};
+  for (int iter = 0; iter < 200; ++iter) {
+    const size_t n = rng.NextBounded(40);
+    std::vector<float> distances(n);
+    for (auto& d : distances) {
+      d = iter % 2 == 0 ? pool[rng.NextBounded(pool.size())]
+                        : static_cast<float>(rng.NextBounded(6)) *
+                              (rng.NextBounded(2) == 0 ? -0.0f : 0.5f);
+    }
+    for (size_t len = 0; len <= n + 1; ++len) {
+      Permutation reference(n);
+      std::iota(reference.begin(), reference.end(), 0u);
+      const size_t keep = std::min(len, n);
+      std::partial_sort(reference.begin(), reference.begin() + keep,
+                        reference.end(), [&](uint32_t a, uint32_t b) {
+                          if (distances[a] != distances[b]) {
+                            return distances[a] < distances[b];
+                          }
+                          return a < b;
+                        });
+      reference.resize(keep);
+      const Permutation prefix = DistancesToPermutationPrefix(distances, len);
+      ASSERT_EQ(prefix, reference) << "n " << n << " len " << len;
+      EXPECT_EQ(prefix.capacity(), keep) << "n " << n << " len " << len;
+    }
+  }
+}
+
+TEST(PermutationTest, ContainsNaNFindsAnyNaN) {
+  EXPECT_FALSE(ContainsNaN({}));
+  EXPECT_FALSE(ContainsNaN({0.0f, -0.0f, std::numeric_limits<float>::infinity()}));
+  EXPECT_TRUE(ContainsNaN({1.0f, std::numeric_limits<float>::quiet_NaN()}));
+  EXPECT_TRUE(ContainsNaN({-std::numeric_limits<float>::quiet_NaN()}));
 }
 
 TEST(PermutationTest, RanksAreInverse) {
@@ -97,6 +143,16 @@ TEST(PermutationTest, ValidityCheck) {
   EXPECT_TRUE(IsValidPermutation({}, 3));       // empty prefix is fine
   EXPECT_FALSE(IsValidPermutation({0, 0}, 3));  // duplicate
   EXPECT_FALSE(IsValidPermutation({3}, 3));     // out of range
+  EXPECT_FALSE(IsValidPermutation({0, 1, 2, 0}, 3));  // longer than n
+  // Past the stack bitset's 4096 pivots the check still finds repeats.
+  for (size_t n : {size_t{64}, size_t{4096}, size_t{5000}}) {
+    Permutation perm(n);
+    std::iota(perm.begin(), perm.end(), 0u);
+    std::reverse(perm.begin(), perm.end());
+    EXPECT_TRUE(IsValidPermutation(perm, n)) << n;
+    perm[n / 2] = perm[n - 1];
+    EXPECT_FALSE(IsValidPermutation(perm, n)) << n;
+  }
 }
 
 TEST(PermutationTest, FullPermutationContainsEveryPivot) {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "common/rng.h"
@@ -861,6 +862,81 @@ TEST(EncryptedMIndexTest, ValidatesQueryArguments) {
   EXPECT_FALSE(world.client->ApproxKnn(query, 0, 10).ok());
   EXPECT_FALSE(world.client->ApproxKnn(query, 20, 10).ok());
   EXPECT_FALSE(world.client->PreciseKnn(query, 0).ok());
+}
+
+// Distances arrive from the wire unchecked; a NaN must be refused before
+// the server sorts them, and an insert batch keeps its accepted prefix.
+TEST(EncryptedMIndexTest, RejectsNaNDistancesFromTheWire) {
+  auto world = MakeSecureWorld();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<InsertItem> items(4);
+  for (size_t i = 0; i < items.size(); ++i) {
+    items[i].id = 100 + i;
+    items[i].pivot_distances.assign(10, 1.0f + static_cast<float>(i));
+    items[i].payload = Bytes(32, static_cast<uint8_t>(i));
+  }
+  items[2].pivot_distances[4] = nan;
+  auto inserted = world.server->Handle(EncodeInsertBatchRequest(items));
+  EXPECT_EQ(inserted.status().code(), StatusCode::kInvalidArgument)
+      << inserted.status().ToString();
+  EXPECT_EQ(world.server->index().size(), 2u);
+
+  std::vector<float> query(10, 2.0f);
+  query[9] = nan;
+  EXPECT_EQ(world.server->Handle(EncodeRangeSearchRequest(query, 5.0))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  mindex::QuerySignature knn;
+  knn.pivot_distances = query;
+  EXPECT_EQ(world.server->Handle(EncodeApproxKnnRequest(knn, 5)).status().code(),
+            StatusCode::kInvalidArgument);
+  query[9] = 2.0f;
+  EXPECT_EQ(world.server->Handle(EncodeRangeSearchRequest(query, nan))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  auto answered = world.server->Handle(EncodeRangeSearchRequest(query, 5.0));
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(DecodeCandidateResponse(*answered)->candidates.size(), 2u);
+}
+
+// Both client insert strategies leave entries whose permutation keeps no
+// capacity beyond the server's stored prefix length.
+TEST(EncryptedMIndexTest, StoredPrefixKeepsItsLengthUnderBothStrategies) {
+  auto world = MakeSecureWorld();
+  mindex::MIndexOptions options;
+  options.num_pivots = 10;
+  options.bucket_capacity = 50;
+  options.max_level = 4;
+  options.stored_prefix_length = 5;
+  auto server = EncryptedMIndexServer::Create(options);
+  ASSERT_TRUE(server.ok());
+  net::LoopbackTransport transport(server->get());
+  EncryptionClient client(world.key, world.dataset.distance(), &transport);
+  const auto& objects = world.dataset.objects();
+  const size_t half = objects.size() / 2;
+  const std::vector<VectorObject> first(objects.begin(),
+                                        objects.begin() + half);
+  const std::vector<VectorObject> second(objects.begin() + half,
+                                         objects.end());
+  ASSERT_TRUE(client.InsertBulk(first, InsertStrategy::kPrecise, 100).ok());
+  ASSERT_TRUE(
+      client.InsertBulk(second, InsertStrategy::kPermutationOnly, 100).ok());
+  size_t precise = 0;
+  size_t permutation_only = 0;
+  ASSERT_TRUE((*server)
+                  ->index()
+                  .ForEachEntry([&](const mindex::Entry& entry, const Bytes&) {
+                    EXPECT_EQ(entry.permutation.size(), 5u);
+                    EXPECT_EQ(entry.permutation.capacity(), 5u);
+                    (entry.pivot_distances.empty() ? permutation_only
+                                                   : precise)++;
+                    return Status::OK();
+                  })
+                  .ok());
+  EXPECT_EQ(precise, half);
+  EXPECT_EQ(permutation_only, objects.size() - half);
 }
 
 TEST(EncryptedMIndexTest, EarlyStopKnnMatchesFullRefinementAnswer) {

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <tuple>
 
 #include "common/rng.h"
 #include "common/scratch_dir.h"
@@ -415,15 +417,20 @@ TEST(DiskStorageTest, SegmentViewAndReleaseReclaimInPlace) {
 // bytes from the cache.
 class RecyclingStorage : public BucketStorage {
  public:
-  Result<PayloadHandle> Store(const Bytes& payload) override {
-    if (!free_slots_.empty()) {
-      const PayloadHandle handle = free_slots_.back();
-      free_slots_.pop_back();
-      payloads_[handle] = payload;
-      return handle;
+  Status StoreBatch(std::span<const PayloadView> payloads,
+                    std::vector<PayloadHandle>* handles) override {
+    handles->clear();
+    for (PayloadView payload : payloads) {
+      if (!free_slots_.empty()) {
+        handles->push_back(free_slots_.back());
+        free_slots_.pop_back();
+        payloads_[handles->back()].assign(payload.begin(), payload.end());
+        continue;
+      }
+      handles->push_back(payloads_.size());
+      payloads_.emplace_back(payload.begin(), payload.end());
     }
-    payloads_.push_back(payload);
-    return static_cast<PayloadHandle>(payloads_.size() - 1);
+    return Status::OK();
   }
   Result<Bytes> Fetch(PayloadHandle handle) const override {
     if (handle >= payloads_.size()) return Status::NotFound("bad handle");
@@ -486,6 +493,156 @@ TEST(PayloadCacheTest, ClearAndAdmitRebuildTheHotSet) {
   EXPECT_EQ(cache.stats().cached_bytes, 0u);
   cache.Admit(*handle, Bytes(16, 0x01));
   EXPECT_TRUE(cache.Contains(*handle));
+}
+
+// The batch append is the one write path: it must leave the same handles,
+// segment accounting and log bytes as storing the payloads one at a time,
+// across several IOV_MAX-sized pwritev chunks and with empty payloads.
+Bytes ReadWholeFile(const std::string& path) {
+  Bytes bytes;
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return bytes;
+  uint8_t buffer[4096];
+  size_t n;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
+    bytes.insert(bytes.end(), buffer, buffer + n);
+  }
+  std::fclose(file);
+  return bytes;
+}
+
+std::vector<Bytes> RandomPayloads(size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Bytes> payloads(count);
+  for (Bytes& payload : payloads) {
+    // One in five is empty; the rest straddle segment boundaries often.
+    payload.resize(rng.NextBounded(5) == 0 ? 0 : rng.NextBounded(300));
+    for (auto& b : payload) b = static_cast<uint8_t>(rng.NextBounded(256));
+  }
+  return payloads;
+}
+
+TEST(StoreBatchTest, DiskBatchEqualsPerPayloadStores) {
+  const ScratchDir dir;
+  const std::vector<Bytes> payloads =
+      RandomPayloads(2 * static_cast<size_t>(IOV_MAX) + 300, 41);
+  auto batched = DiskStorage::Create(dir.File("batched.bin"));
+  auto single = DiskStorage::Create(dir.File("single.bin"));
+  ASSERT_TRUE(batched.ok() && single.ok());
+
+  // Two batches, so the second starts mid-segment at a nonzero offset.
+  const size_t split = 700;
+  const std::vector<PayloadView> views(payloads.begin(), payloads.end());
+  std::vector<PayloadHandle> first;
+  std::vector<PayloadHandle> second;
+  ASSERT_TRUE((*batched)
+                  ->StoreBatch(std::span(views).first(split), &first)
+                  .ok());
+  ASSERT_TRUE((*batched)
+                  ->StoreBatch(std::span(views).subspan(split), &second)
+                  .ok());
+  ASSERT_EQ(first.size(), split);
+  ASSERT_EQ(second.size(), payloads.size() - split);
+  first.insert(first.end(), second.begin(), second.end());
+
+  Bytes expected_log;
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    auto handle = (*single)->Store(payloads[i]);
+    ASSERT_TRUE(handle.ok());
+    EXPECT_EQ(first[i], *handle) << "payload " << i;
+    expected_log.insert(expected_log.end(), payloads[i].begin(),
+                        payloads[i].end());
+  }
+  EXPECT_EQ(ReadWholeFile((*batched)->path()), expected_log);
+  EXPECT_EQ(ReadWholeFile((*single)->path()), expected_log);
+
+  // Offsets: a handle's bytes are where the per-payload loop put them.
+  std::vector<Bytes> fetched;
+  ASSERT_TRUE((*batched)->FetchMany(first, &fetched).ok());
+  EXPECT_EQ(fetched, payloads);
+  auto segments = [](const DiskStorage& disk) {
+    std::vector<std::tuple<uint64_t, uint64_t, uint64_t, bool>> out;
+    for (const auto& view : disk.Segments()) {
+      out.emplace_back(view.segment, view.bytes, view.dead_bytes, view.sealed);
+    }
+    return out;
+  };
+  EXPECT_EQ(segments(**batched), segments(**single));
+  std::vector<std::tuple<PayloadHandle, uint64_t, uint32_t>> live_batched;
+  std::vector<std::tuple<PayloadHandle, uint64_t, uint32_t>> live_single;
+  ASSERT_TRUE((*batched)
+                  ->ForEachLiveHandle([&](PayloadHandle h, uint64_t seg,
+                                          uint32_t bytes) {
+                    live_batched.emplace_back(h, seg, bytes);
+                  })
+                  .ok());
+  ASSERT_TRUE((*single)
+                  ->ForEachLiveHandle([&](PayloadHandle h, uint64_t seg,
+                                          uint32_t bytes) {
+                    live_single.emplace_back(h, seg, bytes);
+                  })
+                  .ok());
+  EXPECT_EQ(live_batched, live_single);
+  EXPECT_EQ((*batched)->TotalBytes(), expected_log.size());
+  EXPECT_EQ((*batched)->Count(), payloads.size());
+}
+
+TEST(StoreBatchTest, EmptyPayloadsAndEmptyBatches) {
+  const ScratchDir dir;
+  auto disk = DiskStorage::Create(dir.File("empty.bin"));
+  ASSERT_TRUE(disk.ok());
+  std::vector<PayloadHandle> handles = {99};
+  ASSERT_TRUE((*disk)->StoreBatch({}, &handles).ok());
+  EXPECT_TRUE(handles.empty());
+  const std::vector<Bytes> payloads = {{}, {}, {1, 2, 3}, {}};
+  const std::vector<PayloadView> views(payloads.begin(), payloads.end());
+  ASSERT_TRUE((*disk)->StoreBatch(views, &handles).ok());
+  EXPECT_EQ(handles, (std::vector<PayloadHandle>{0, 1, 2, 3}));
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    auto fetched = (*disk)->Fetch(handles[i]);
+    ASSERT_TRUE(fetched.ok());
+    EXPECT_EQ(*fetched, payloads[i]);
+  }
+  EXPECT_EQ(ReadWholeFile((*disk)->path()), (Bytes{1, 2, 3}));
+}
+
+TEST(StoreBatchTest, ClosedDiskStoreIssuesNoHandle) {
+  const ScratchDir dir;
+  auto disk = DiskStorage::Create(dir.File("closed.bin"));
+  ASSERT_TRUE(disk.ok());
+  ASSERT_TRUE((*disk)->Store(Bytes(10, 0x11)).ok());
+  ASSERT_TRUE((*disk)->Close().ok());
+  const std::vector<Bytes> payloads = {Bytes(5, 0x22), Bytes(7, 0x33)};
+  const std::vector<PayloadView> views(payloads.begin(), payloads.end());
+  std::vector<PayloadHandle> handles = {42};
+  const Status status = (*disk)->StoreBatch(views, &handles);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_TRUE(handles.empty());
+  EXPECT_EQ((*disk)->Count(), 1u);
+  EXPECT_EQ((*disk)->TotalBytes(), 10u);
+  EXPECT_EQ((*disk)->Store(payloads[0]).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(StoreBatchTest, MemoryBatchEqualsPerPayloadStores) {
+  const std::vector<Bytes> payloads = RandomPayloads(500, 43);
+  const std::vector<PayloadView> views(payloads.begin(), payloads.end());
+  MemoryStorage batched;
+  MemoryStorage single;
+  std::vector<PayloadHandle> handles;
+  ASSERT_TRUE(batched.StoreBatch(views, &handles).ok());
+  ASSERT_EQ(handles.size(), payloads.size());
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    auto handle = single.Store(payloads[i]);
+    ASSERT_TRUE(handle.ok());
+    EXPECT_EQ(handles[i], *handle);
+  }
+  std::vector<Bytes> fetched;
+  ASSERT_TRUE(batched.FetchMany(handles, &fetched).ok());
+  EXPECT_EQ(fetched, payloads);
+  EXPECT_EQ(batched.TotalBytes(), single.TotalBytes());
+  EXPECT_EQ(batched.Count(), single.Count());
 }
 
 TEST(StorageTest, NamesIdentifyBackend) {
