@@ -160,6 +160,19 @@ if grep -nE '^[[:space:]]*#[[:space:]]*include' src/metric/distance_avx2.cc |
   exit 1
 fi
 
+echo "=== lint: the VAES crypto kernels include no library header ==="
+# kernels_vaes.cc is built with AVX-512 flags: an inline function from
+# any other header compiled there may be the copy the linker keeps, which
+# then faults (SIGILL) on a CPU without AVX-512. kernels.h declares its
+# entry points, but the file may not include it (it pulls in aes.h and
+# bytes.h).
+if grep -nE '^[[:space:]]*#[[:space:]]*include' src/crypto/kernels_vaes.cc |
+   grep -vE '<(immintrin\.h|cstddef|cstdint|cstring)>'; then
+  echo "FAIL: kernels_vaes.cc may include only <immintrin.h>, <cstddef>," \
+       "<cstdint> and <cstring>" >&2
+  exit 1
+fi
+
 echo "=== lint: no per-call atomic counter in src/metric/ ==="
 # Distance accounting is one registry add per Distance or DistanceMany
 # call (obs/); a fetch_add here is a per-evaluation counter coming back.

@@ -13,7 +13,8 @@ namespace {
 constexpr size_t kBlock = Aes::kBlockSize;
 
 // The mode kernels below (and Cipher::CtrXor) are routed through AES-NI
-// when the dispatcher enabled it. Scalar and hardware kernels are
+// when the dispatcher enabled it, and CBC decryption through the VAES
+// tier when that is enabled too. Scalar and hardware kernels are
 // bit-identical (cross-checked in tests/crypto_test.cc), so callers never
 // observe the difference.
 
@@ -29,7 +30,9 @@ void CbcEncrypt(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
 
 void CbcDecrypt(const Aes& aes, const uint8_t iv[kBlock], const uint8_t* in,
                 uint8_t* out, size_t len) {
-  if (AesAccelerated()) {
+  if (VaesAccelerated()) {
+    VaesCbcDecrypt(aes.round_key_bytes(), aes.rounds(), iv, in, out, len);
+  } else if (AesAccelerated()) {
     AesNiCbcDecrypt(aes.round_key_bytes(), aes.rounds(), iv, in, out, len);
   } else {
     ScalarAesCbcDecrypt(aes, iv, in, out, len);

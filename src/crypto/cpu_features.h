@@ -3,9 +3,11 @@
 // The crypto layer keeps two implementations of its hot kernels: the
 // from-scratch scalar reference (aes.cc / gcm.cc / sha256.cc — the
 // vector-tested ground truth) and hardware kernels (kernels_x86.cc) that
-// use AES-NI, PCLMULQDQ and SHA-NI instructions. Which one runs is
-// decided ONCE per process, from cpuid, and can be forced back to the
-// reference with
+// use AES-NI, PCLMULQDQ and SHA-NI instructions. AES-GCM and AES-CBC
+// decryption have a third tier (kernels_vaes.cc) on 512-bit VAES and
+// VPCLMULQDQ. Which one runs is decided ONCE per process, from cpuid
+// (and XCR0 for the VAES tier), and can be forced back to the reference
+// with
 //   SIMCLOUD_FORCE_SCALAR_CRYPTO=1
 // so any box — and any CI job — can exercise the scalar paths
 // regardless of its hardware. Outputs are bit-identical either way; the
@@ -29,6 +31,10 @@ struct CpuFeatures {
   /// PCLMULQDQ (carry-less multiply, the GHASH kernel) is available AND
   /// compiled in.
   bool pclmul = false;
+  /// The VAES tier (VaesKernelAvailable(): VAES, VPCLMULQDQ, AVX-512
+  /// F/BW/VL and OS-saved ZMM state, on top of AES-NI and PCLMULQDQ) is
+  /// available AND compiled in.
+  bool vaes = false;
   /// SIMCLOUD_FORCE_SCALAR_CRYPTO=1 was set: the flags above were
   /// cleared even though the silicon (raw_*) may support them.
   bool forced_scalar = false;
@@ -37,6 +43,7 @@ struct CpuFeatures {
   bool raw_aes_ni = false;
   bool raw_sha_ni = false;
   bool raw_pclmul = false;
+  bool raw_vaes = false;
 };
 
 /// The process-wide feature set: cpuid + compile-time support, with the
@@ -55,8 +62,13 @@ inline bool GcmAccelerated() {
   return GetCpuFeatures().aes_ni && GetCpuFeatures().pclmul;
 }
 
+/// True when AES-GCM and AES-CBC decryption run on the 512-bit VAES
+/// tier; AES-CTR and CBC encryption stay on AES-NI.
+inline bool VaesAccelerated() { return GetCpuFeatures().vaes; }
+
 /// One-line human-readable backend summary for startup banners and
-/// bench output, e.g. "aes=aes-ni gcm=aes-ni+pclmul sha=sha-ni" or
+/// bench output, e.g. "aes=aes-ni gcm=aes-ni+pclmul sha=sha-ni",
+/// "aes=aes-ni gcm=vaes512+vpclmul cbc-dec=vaes512 sha=sha-ni" or
 /// "aes=scalar gcm=scalar sha=scalar (forced)".
 std::string CryptoBackendSummary();
 

@@ -135,7 +135,10 @@ Status AesGcm::SealInto(const uint8_t nonce[kNonceSize], const uint8_t* ad,
   if (len > kMaxPlaintextBytes) {
     return Status::InvalidArgument("GCM plaintext exceeds 2^36 - 32 bytes");
   }
-  if (GcmAccelerated()) {
+  if (VaesAccelerated()) {
+    VaesGcmSeal(aes_.round_key_bytes(), aes_.rounds(), h_table_, nonce, ad,
+                ad_len, in, out, len, tag);
+  } else if (GcmAccelerated()) {
     AesNiGcmSeal(aes_.round_key_bytes(), aes_.rounds(), h_table_, nonce, ad,
                  ad_len, in, out, len, tag);
   } else {
@@ -150,11 +153,16 @@ Status AesGcm::OpenInto(const uint8_t nonce[kNonceSize], const uint8_t* ad,
   if (len > kMaxPlaintextBytes) {
     return Status::Corruption("GCM ciphertext exceeds 2^36 - 32 bytes");
   }
-  const bool authentic =
-      GcmAccelerated()
-          ? AesNiGcmOpen(aes_.round_key_bytes(), aes_.rounds(), h_table_,
-                         nonce, ad, ad_len, in, len, tag, out)
-          : ScalarGcmOpen(aes_, h_, nonce, ad, ad_len, in, len, tag, out);
+  bool authentic;
+  if (VaesAccelerated()) {
+    authentic = VaesGcmOpen(aes_.round_key_bytes(), aes_.rounds(), h_table_,
+                            nonce, ad, ad_len, in, len, tag, out);
+  } else if (GcmAccelerated()) {
+    authentic = AesNiGcmOpen(aes_.round_key_bytes(), aes_.rounds(), h_table_,
+                             nonce, ad, ad_len, in, len, tag, out);
+  } else {
+    authentic = ScalarGcmOpen(aes_, h_, nonce, ad, ad_len, in, len, tag, out);
+  }
   if (!authentic) {
     return Status::Corruption("GCM tag mismatch: message was tampered with");
   }

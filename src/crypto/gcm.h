@@ -8,12 +8,13 @@
 // it in constant time, and only then decrypts — a forged record never
 // reveals (or writes) a byte of plaintext.
 //
-// Two implementations sit behind the cpuid dispatch (cpu_features.h):
+// Three implementations sit behind the cpuid dispatch (cpu_features.h):
 // the scalar reference (SP 800-38D Algorithm 1, bitwise GHASH, over
-// ScalarAesCtrXor) and the AES-NI + PCLMULQDQ kernel in kernels_x86.cc,
+// ScalarAesCtrXor); the AES-NI + PCLMULQDQ kernel in kernels_x86.cc,
 // which folds each 8-block CTR batch into an 8-block-aggregated GHASH
-// while the ciphertext is still in registers. Output is byte-identical
-// either way (tests/crypto_test.cc).
+// while the ciphertext is still in registers; and the 512-bit VAES +
+// VPCLMULQDQ kernel in kernels_vaes.cc, which does the same 16 blocks at
+// a time. Output is byte-identical every way (tests/crypto_test.cc).
 //
 // Nonce uniqueness is the caller's contract: one (key, nonce) pair must
 // never seal two messages. The secure channel guarantees it with a
@@ -71,9 +72,9 @@ class AesGcm {
   Aes aes_;
   /// H = E_K(0^128), the GHASH key of the scalar reference.
   uint8_t h_[16] = {};
-  /// H^1..H^8 in the accelerated kernel's representation
+  /// H^1..H^16 in the accelerated kernels' representation
   /// (AesNiGcmInit); unused on the scalar path.
-  alignas(16) uint8_t h_table_[8 * 16] = {};
+  alignas(16) uint8_t h_table_[16 * 16] = {};
 };
 
 }  // namespace crypto

@@ -1,12 +1,15 @@
 // Hot crypto kernels behind the runtime dispatcher (cpu_features.h).
 //
-// Each primitive exists twice: a scalar reference (implemented next to
-// the primitive it accelerates, in aes.cc / gcm.cc / sha256.cc, and
-// validated by the FIPS/NIST vectors in tests/crypto_test.cc) and an x86
-// hardware kernel (kernels_x86.cc, compiled with -maes/-mpclmul/-msha
-// for THAT file only and gated by cpuid at runtime). Both are exposed here so the tests
-// can cross-check them on random inputs whenever the hardware kernel is
-// available, independent of what the process-wide dispatch selected.
+// Each primitive exists at least twice: a scalar reference (implemented
+// next to the primitive it accelerates, in aes.cc / gcm.cc / sha256.cc,
+// and validated by the FIPS/NIST vectors in tests/crypto_test.cc) and an
+// x86 hardware kernel (kernels_x86.cc, compiled with -maes/-mpclmul/-msha
+// for THAT file only and gated by cpuid at runtime). AES-GCM and AES-CBC
+// decryption have a third, 512-bit VAES tier (kernels_vaes.cc, compiled
+// with AVX-512 flags for that file only). All are exposed here so the
+// tests can cross-check them on random inputs whenever the hardware
+// kernel is available, independent of what the process-wide dispatch
+// selected.
 //
 // Adding a kernel: implement the scalar reference first, land vectors
 // for it, then add the hardware twin here plus a cross-check test —
@@ -98,9 +101,15 @@ bool ScalarGcmOpen(const Aes& aes, const uint8_t h[16],
 /// supports it. The GCM kernel needs this AND AesNiKernelAvailable().
 bool PclmulKernelAvailable();
 
-/// Fills h_table[0..128) with H^1..H^8 (h = E_K(0^128)) in the kernel's
-/// representation. Must only be called when PclmulKernelAvailable().
-void AesNiGcmInit(const uint8_t h[16], uint8_t h_table[128]);
+/// Hash powers in a GCM kernel table: the VAES kernels aggregate 16
+/// blocks per reduction, the AES-NI kernels read the first 8.
+constexpr size_t kGcmHashPowers = 16;
+constexpr size_t kGcmHashTableBytes = kGcmHashPowers * 16;
+
+/// Fills h_table[0..kGcmHashTableBytes) with H^1..H^16 (h = E_K(0^128))
+/// in the kernels' representation, shared by the AES-NI and VAES tiers.
+/// Must only be called when PclmulKernelAvailable().
+void AesNiGcmInit(const uint8_t h[16], uint8_t h_table[kGcmHashTableBytes]);
 
 /// AES-NI + PCLMULQDQ kernels: 8-block CTR batches folded into an
 /// 8-block-aggregated GHASH. `round_keys`/`rounds` as for AesNiCtrXor,
@@ -114,6 +123,36 @@ bool AesNiGcmOpen(const uint8_t* round_keys, int rounds,
                   const uint8_t* h_table, const uint8_t nonce[12],
                   const uint8_t* ad, size_t ad_len, const uint8_t* in,
                   size_t len, const uint8_t tag[16], uint8_t* out);
+
+// ---------------------------------------------------------------------------
+// The VAES tier (kernels_vaes.cc): 512-bit VAES + VPCLMULQDQ, four AES
+// blocks per instruction and 16 blocks per step. Same contracts, byte
+// for byte, as the AES-NI kernels above; `round_keys`/`rounds` as for
+// AesNiCtrXor and `h_table` from AesNiGcmInit.
+// ---------------------------------------------------------------------------
+
+/// True when kernels_vaes.cc is compiled in AND the CPU has VAES,
+/// VPCLMULQDQ, AVX512F/BW/VL, AES-NI and PCLMULQDQ AND the OS saves the
+/// ZMM state (OSXSAVE, XCR0 bits 1, 2, 5, 6 and 7). Raw capability, as
+/// for the probes above.
+bool VaesKernelAvailable();
+
+/// Seal: 16 counter blocks per step stitched with the 16-block GHASH of
+/// the previous step's ciphertext, one reduction per 16 blocks.
+void VaesGcmSeal(const uint8_t* round_keys, int rounds,
+                 const uint8_t* h_table, const uint8_t nonce[12],
+                 const uint8_t* ad, size_t ad_len, const uint8_t* in,
+                 uint8_t* out, size_t len, uint8_t tag[16]);
+/// Open: 16-block GHASH, the constant-time tag compare, then a 16-block
+/// CTR pass; nothing is written unless the tag matches.
+bool VaesGcmOpen(const uint8_t* round_keys, int rounds,
+                 const uint8_t* h_table, const uint8_t nonce[12],
+                 const uint8_t* ad, size_t ad_len, const uint8_t* in,
+                 size_t len, const uint8_t tag[16], uint8_t* out);
+/// CBC decryption, 16 blocks per step. in == out is allowed.
+void VaesCbcDecrypt(const uint8_t* round_keys, int rounds,
+                    const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                    size_t len);
 
 // ---------------------------------------------------------------------------
 // SHA-256 block compression: absorbs `blocks` 64-byte blocks into the
@@ -130,11 +169,13 @@ bool ShaNiKernelAvailable();
 void ShaNiSha256Blocks(uint32_t h[8], const uint8_t* data, size_t blocks);
 
 namespace internal {
-// Set by kernels_x86.cc: whether the hardware kernels were compiled for
-// this architecture at all. cpuid (cpu_features.cc) decides the rest.
+// Set by kernels_x86.cc and kernels_vaes.cc: whether the hardware
+// kernels were compiled for this architecture at all. cpuid
+// (cpu_features.cc) decides the rest.
 extern const bool kAesNiKernelCompiled;
 extern const bool kShaNiKernelCompiled;
 extern const bool kPclmulKernelCompiled;
+extern const bool kVaesKernelCompiled;
 }  // namespace internal
 
 }  // namespace crypto

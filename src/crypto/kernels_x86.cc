@@ -1,8 +1,10 @@
 // x86 hardware kernels: AES-NI CTR keystream, AES-NI CBC encryption and
 // decryption, AES-NI + PCLMULQDQ AES-GCM, and SHA-NI SHA-256
-// compression. This file — and ONLY this file — is compiled with
-// -maes/-mpclmul/-msha/-mssse3/-msse4.1 (see CMakeLists.txt), so nothing here may be called before a cpuid check:
-// the dispatchers in cpu_features.cc / kernels.h guarantee that.
+// compression. This file is compiled with
+// -maes/-mpclmul/-msha/-mssse3/-msse4.1 (see CMakeLists.txt; the only
+// other crypto file with SIMD flags is kernels_vaes.cc, the 512-bit
+// tier), so nothing here may be called before a cpuid check: the
+// dispatchers in cpu_features.cc / kernels.h guarantee that.
 // Feature *detection* deliberately lives in cpu_features.cc, which is
 // built without SIMD flags, so a non-AES host never executes an
 // instruction from this translation unit.
@@ -313,11 +315,11 @@ inline void LoadHashPowers(const uint8_t* h_table, __m128i h[8]) {
 
 }  // namespace
 
-void AesNiGcmInit(const uint8_t h[16], uint8_t h_table[128]) {
+void AesNiGcmInit(const uint8_t h[16], uint8_t h_table[kGcmHashTableBytes]) {
   const __m128i h1 = ReverseBytes(Load(h));
   __m128i power = h1;
   Store(h_table, power);
-  for (int i = 1; i < 8; ++i) {
+  for (size_t i = 1; i < kGcmHashPowers; ++i) {
     power = GhashMul(power, h1);
     Store(h_table + 16 * i, power);
   }

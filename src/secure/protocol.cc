@@ -651,9 +651,12 @@ Result<mindex::CompactionReport> DecodeCompactResponse(const Bytes& data) {
     SIMCLOUD_ASSIGN_OR_RETURN(report.pause_nanos, reader.ReadVarint());
     SIMCLOUD_ASSIGN_OR_RETURN(report.segments_released, reader.ReadVarint());
     SIMCLOUD_ASSIGN_OR_RETURN(uint8_t mode, reader.ReadU8());
-    report.mode = mode == 1 ? mindex::CompactionMode::kPartial
-                            : mindex::CompactionMode::kFull;
+    if (mode > static_cast<uint8_t>(mindex::CompactionMode::kPartial)) {
+      return Status::Corruption("compaction response has an unknown mode");
+    }
+    report.mode = static_cast<mindex::CompactionMode>(mode);
   }
+  // Bytes past the mode are a later revision's fields: ignored.
   return report;
 }
 

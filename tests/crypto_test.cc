@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <iterator>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -738,7 +740,7 @@ TEST(GcmTest, McGrewViegaAes256VectorsOnBothBackends) {
 
     // The AES-NI + PCLMULQDQ kernel, whenever the silicon has it.
     if (AesNiKernelAvailable() && PclmulKernelAvailable()) {
-      alignas(16) uint8_t h_table[128];
+      alignas(16) uint8_t h_table[kGcmHashTableBytes];
       AesNiGcmInit(h, h_table);
       Bytes hw_out(len);
       uint8_t hw_tag[16];
@@ -752,6 +754,25 @@ TEST(GcmTest, McGrewViegaAes256VectorsOnBothBackends) {
                                h_table, nonce.data(), ad.data(), ad.size(),
                                ciphertext.data(), len, tag.data(),
                                hw_opened.data()));
+      EXPECT_EQ(hw_opened, plaintext);
+    }
+
+    // The VAES kernel, whenever the silicon has it.
+    if (VaesKernelAvailable()) {
+      alignas(64) uint8_t h_table[kGcmHashTableBytes];
+      AesNiGcmInit(h, h_table);
+      Bytes hw_out(len);
+      uint8_t hw_tag[16];
+      VaesGcmSeal(aes->round_key_bytes(), aes->rounds(), h_table,
+                  nonce.data(), ad.data(), ad.size(), plaintext.data(),
+                  hw_out.data(), len, hw_tag);
+      EXPECT_EQ(hw_out, ciphertext);
+      EXPECT_EQ(Bytes(hw_tag, hw_tag + 16), tag);
+      Bytes hw_opened(len);
+      EXPECT_TRUE(VaesGcmOpen(aes->round_key_bytes(), aes->rounds(), h_table,
+                              nonce.data(), ad.data(), ad.size(),
+                              ciphertext.data(), len, tag.data(),
+                              hw_opened.data()));
       EXPECT_EQ(hw_opened, plaintext);
     }
   }
@@ -992,7 +1013,7 @@ TEST(KernelTest, AesNiGcmMatchesScalarOnRandomInputs) {
   uint8_t h[16] = {};
   const uint8_t zero[16] = {};
   aes->EncryptBlock(zero, h);
-  alignas(16) uint8_t h_table[128];
+  alignas(16) uint8_t h_table[kGcmHashTableBytes];
   AesNiGcmInit(h, h_table);
 
   auto check = [&](size_t len, size_t ad_len) {
@@ -1061,6 +1082,250 @@ TEST(KernelTest, AesNiGcmMatchesScalarOnRandomInputs) {
   }
 }
 
+// --------------------------------------------------- the VAES tier
+//
+// The 512-bit kernels are driven directly, like the AES-NI ones above,
+// so they are checked on every host that has them whatever the dispatch
+// picked (and the AES-NI kernels keep their own checks on such hosts).
+
+/// The scalar GCM reference's H and the kernels' table of its powers.
+struct GcmKeys {
+  explicit GcmKeys(const Aes& aes) {
+    const uint8_t zero[16] = {};
+    aes.EncryptBlock(zero, h);
+    AesNiGcmInit(h, table);
+  }
+  uint8_t h[16];
+  alignas(64) uint8_t table[kGcmHashTableBytes];
+};
+
+/// A buffer whose data starts `offset` bytes past a 64-byte boundary.
+class OffsetBuffer {
+ public:
+  OffsetBuffer(const Bytes& content, size_t offset)
+      : storage_(content.size() + 128), offset_(offset) {
+    const uintptr_t base = reinterpret_cast<uintptr_t>(storage_.data());
+    offset_ += (64 - base % 64) % 64;
+    std::copy(content.begin(), content.end(), data());
+  }
+  uint8_t* data() { return storage_.data() + offset_; }
+  Bytes Contents(size_t len) { return Bytes(data(), data() + len); }
+
+ private:
+  Bytes storage_;
+  size_t offset_;
+};
+
+/// Seals and opens one message on the VAES kernels and on the scalar
+/// reference: same ciphertext and tag, each side opens the other's, and
+/// in place works for both directions. Buffers sit at random offsets
+/// 1-63 from a 64-byte boundary.
+void CheckVaesGcm(Rng& rng, const Aes& aes, const GcmKeys& keys, size_t len,
+                  size_t ad_len) {
+  const Bytes nonce = RandomBytes(rng, 12);
+  const Bytes ad = RandomBytes(rng, ad_len);
+  const Bytes plaintext = RandomBytes(rng, len);
+  const size_t in_offset = 1 + rng.NextBounded(63);
+  const size_t out_offset = 1 + rng.NextBounded(63);
+  Bytes scalar_ct(len);
+  uint8_t scalar_tag[16], vaes_tag[16];
+  ScalarGcmSeal(aes, keys.h, nonce.data(), ad.data(), ad_len,
+                plaintext.data(), scalar_ct.data(), len, scalar_tag);
+
+  OffsetBuffer in(plaintext, in_offset), out(Bytes(len), out_offset);
+  VaesGcmSeal(aes.round_key_bytes(), aes.rounds(), keys.table, nonce.data(),
+              ad.data(), ad_len, in.data(), out.data(), len, vaes_tag);
+  ASSERT_EQ(out.Contents(len), scalar_ct);
+  ASSERT_EQ(Bytes(vaes_tag, vaes_tag + 16),
+            Bytes(scalar_tag, scalar_tag + 16));
+
+  // The VAES open of the scalar ciphertext, out of place and in place.
+  OffsetBuffer sealed(scalar_ct, in_offset), opened(Bytes(len), out_offset);
+  ASSERT_TRUE(VaesGcmOpen(aes.round_key_bytes(), aes.rounds(), keys.table,
+                          nonce.data(), ad.data(), ad_len, sealed.data(), len,
+                          scalar_tag, opened.data()));
+  ASSERT_EQ(opened.Contents(len), plaintext);
+  ASSERT_TRUE(VaesGcmOpen(aes.round_key_bytes(), aes.rounds(), keys.table,
+                          nonce.data(), ad.data(), ad_len, sealed.data(), len,
+                          scalar_tag, sealed.data()));
+  ASSERT_EQ(sealed.Contents(len), plaintext);
+
+  // The VAES seal in place, opened by the scalar reference.
+  uint8_t in_place_tag[16];
+  VaesGcmSeal(aes.round_key_bytes(), aes.rounds(), keys.table, nonce.data(),
+              ad.data(), ad_len, in.data(), in.data(), len, in_place_tag);
+  ASSERT_EQ(in.Contents(len), scalar_ct);
+  ASSERT_EQ(Bytes(in_place_tag, in_place_tag + 16),
+            Bytes(scalar_tag, scalar_tag + 16));
+  Bytes scalar_opened(len);
+  ASSERT_TRUE(ScalarGcmOpen(aes, keys.h, nonce.data(), ad.data(), ad_len,
+                            in.data(), len, in_place_tag,
+                            scalar_opened.data()));
+  ASSERT_EQ(scalar_opened, plaintext);
+}
+
+TEST(KernelTest, VaesGcmMatchesScalarOnRandomInputs) {
+  if (!VaesKernelAvailable()) {
+    GTEST_SKIP() << "VAES + AVX-512 not available on this CPU";
+  }
+  Rng rng(0x7AE5);
+  for (const size_t key_len : {16u, 24u, 32u}) {
+    auto aes = Aes::Create(RandomBytes(rng, key_len));
+    ASSERT_TRUE(aes.ok());
+    const GcmKeys keys(*aes);
+    // Every length through two 16-block steps and past them, the AD
+    // length cycling through 0-40.
+    for (size_t len = 0; len <= 600; ++len) {
+      SCOPED_TRACE("key_len=" + std::to_string(key_len) +
+                   " len=" + std::to_string(len));
+      CheckVaesGcm(rng, *aes, keys, len, len % 41);
+      if (HasFatalFailure()) return;
+    }
+    // Every AD length 0-40 and AD beyond one 16-block step, at lengths
+    // around the step boundary.
+    for (const size_t len : {0u, 1u, 255u, 256u, 257u, 4096u}) {
+      for (size_t ad_len = 0; ad_len <= 40; ++ad_len) {
+        SCOPED_TRACE("key_len=" + std::to_string(key_len) + " len=" +
+                     std::to_string(len) + " ad_len=" +
+                     std::to_string(ad_len));
+        CheckVaesGcm(rng, *aes, keys, len, ad_len);
+        if (HasFatalFailure()) return;
+      }
+      for (const size_t ad_len : {255u, 256u, 257u, 300u, 512u, 1000u}) {
+        SCOPED_TRACE("key_len=" + std::to_string(key_len) + " len=" +
+                     std::to_string(len) + " ad_len=" +
+                     std::to_string(ad_len));
+        CheckVaesGcm(rng, *aes, keys, len, ad_len);
+        if (HasFatalFailure()) return;
+      }
+    }
+    // Random lengths up to 70,000 (past one 64 KiB channel record).
+    for (int i = 0; i < 6; ++i) {
+      const size_t len = rng.NextBounded(70001);
+      SCOPED_TRACE("key_len=" + std::to_string(key_len) +
+                   " len=" + std::to_string(len));
+      CheckVaesGcm(rng, *aes, keys, len, rng.NextBounded(41));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(KernelTest, VaesGcmCounterCarryMatchesScalar) {
+  // The GCM counter is the low 32 bits of the counter block and the VAES
+  // kernel steps it lane by lane with 32-bit adds. It cannot wrap: the
+  // payload starts at counter 2 and AesGcm refuses more than 2^32 - 2
+  // blocks. What a message can reach is the carry out of the low byte
+  // (block 254 holds counter 256) and out of the low 16 bits (block
+  // 65,534 holds counter 65,536). These lengths put each carry inside a
+  // 16-block step, at a step's last lanes and inside the masked tail.
+  if (!VaesKernelAvailable()) {
+    GTEST_SKIP() << "VAES + AVX-512 not available on this CPU";
+  }
+  Rng rng(0xCA77);
+  for (const size_t key_len : {16u, 32u}) {
+    auto aes = Aes::Create(RandomBytes(rng, key_len));
+    ASSERT_TRUE(aes.ok());
+    const GcmKeys keys(*aes);
+    for (const size_t len :
+         {size_t{254 * 16}, size_t{254 * 16 + 1}, size_t{255 * 16},
+          size_t{256 * 16}, size_t{256 * 16 + 40}, size_t{65534 * 16 + 7},
+          size_t{65536 * 16}, size_t{65536 * 16 + 40}}) {
+      SCOPED_TRACE("key_len=" + std::to_string(key_len) +
+                   " len=" + std::to_string(len));
+      CheckVaesGcm(rng, *aes, keys, len, 22);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(KernelTest, VaesGcmOpenRefusesTamperingAndWritesNothing) {
+  if (!VaesKernelAvailable()) {
+    GTEST_SKIP() << "VAES + AVX-512 not available on this CPU";
+  }
+  Rng rng(0x7A3B);
+  auto aes = Aes::Create(RandomBytes(rng, 32));
+  ASSERT_TRUE(aes.ok());
+  const GcmKeys keys(*aes);
+  for (const size_t len : {0u, 1u, 16u, 255u, 256u, 257u, 1000u, 65573u}) {
+    SCOPED_TRACE("len=" + std::to_string(len));
+    const Bytes nonce = RandomBytes(rng, 12);
+    const Bytes ad = RandomBytes(rng, 22);
+    const Bytes plaintext = RandomBytes(rng, len);
+    Bytes ciphertext(len);
+    uint8_t tag[16];
+    VaesGcmSeal(aes->round_key_bytes(), aes->rounds(), keys.table,
+                nonce.data(), ad.data(), ad.size(), plaintext.data(),
+                ciphertext.data(), len, tag);
+    auto expect_refused = [&](const Bytes& ct, const uint8_t* t,
+                              const Bytes& a) {
+      Bytes out(len, 0xEE);
+      EXPECT_FALSE(VaesGcmOpen(aes->round_key_bytes(), aes->rounds(),
+                               keys.table, nonce.data(), a.data(), a.size(),
+                               ct.data(), len, t, out.data()));
+      EXPECT_EQ(out, Bytes(len, 0xEE));
+      Bytes in_place = ct;
+      EXPECT_FALSE(VaesGcmOpen(aes->round_key_bytes(), aes->rounds(),
+                               keys.table, nonce.data(), a.data(), a.size(),
+                               in_place.data(), len, t, in_place.data()));
+      EXPECT_EQ(in_place, ct);
+    };
+    if (len > 0) {
+      for (const size_t at : {size_t{0}, len / 2, len - 1}) {
+        Bytes flipped = ciphertext;
+        flipped[at] ^= 0x01;
+        expect_refused(flipped, tag, ad);
+      }
+    }
+    for (int bit : {0, 63, 127}) {
+      uint8_t bad_tag[16];
+      std::copy(tag, tag + 16, bad_tag);
+      bad_tag[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      expect_refused(ciphertext, bad_tag, ad);
+    }
+    Bytes bad_ad = ad;
+    bad_ad[21] ^= 0x80;
+    expect_refused(ciphertext, tag, bad_ad);
+    Bytes good(len);
+    EXPECT_TRUE(VaesGcmOpen(aes->round_key_bytes(), aes->rounds(),
+                            keys.table, nonce.data(), ad.data(), ad.size(),
+                            ciphertext.data(), len, tag, good.data()));
+    EXPECT_EQ(good, plaintext);
+  }
+}
+
+TEST(KernelTest, VaesCbcDecryptMatchesScalarOnRandomInputs) {
+  if (!VaesKernelAvailable()) {
+    GTEST_SKIP() << "VAES + AVX-512 not available on this CPU";
+  }
+  Rng rng(0xCBC5);
+  for (const size_t key_len : {16u, 24u, 32u}) {
+    auto aes = Aes::Create(RandomBytes(rng, key_len));
+    ASSERT_TRUE(aes.ok());
+    std::vector<size_t> lengths;
+    for (size_t len = 0; len <= 600; len += 16) lengths.push_back(len);
+    for (int i = 0; i < 6; ++i) {
+      lengths.push_back(16 * rng.NextBounded(70000 / 16 + 1));
+    }
+    for (const size_t len : lengths) {
+      SCOPED_TRACE("key_len=" + std::to_string(key_len) +
+                   " len=" + std::to_string(len));
+      const Bytes iv = RandomBytes(rng, 16);
+      const Bytes ciphertext = RandomBytes(rng, len);
+      Bytes expected(len);
+      ScalarAesCbcDecrypt(*aes, iv.data(), ciphertext.data(),
+                          expected.data(), len);
+      OffsetBuffer in(ciphertext, 1 + rng.NextBounded(63));
+      OffsetBuffer out(Bytes(len), 1 + rng.NextBounded(63));
+      VaesCbcDecrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                     in.data(), out.data(), len);
+      ASSERT_EQ(out.Contents(len), expected);
+      VaesCbcDecrypt(aes->round_key_bytes(), aes->rounds(), iv.data(),
+                     in.data(), in.data(), len);
+      ASSERT_EQ(in.Contents(len), expected);
+    }
+  }
+}
+
 TEST(KernelTest, ShaNiMatchesScalarOnRandomInputs) {
   if (!ShaNiKernelAvailable()) {
     GTEST_SKIP() << "SHA-NI not available on this CPU";
@@ -1087,13 +1352,37 @@ TEST(CpuFeaturesTest, DispatchIsConsistentWithRawCapability) {
   EXPECT_LE(features.aes_ni, features.raw_aes_ni);
   EXPECT_LE(features.sha_ni, features.raw_sha_ni);
   EXPECT_LE(features.pclmul, features.raw_pclmul);
+  EXPECT_LE(features.vaes, features.raw_vaes);
+  EXPECT_EQ(features.raw_vaes, VaesKernelAvailable());
   EXPECT_EQ(GcmAccelerated(), features.aes_ni && features.pclmul);
+  // The VAES tier sits on top of the AES-NI and PCLMULQDQ kernels.
+  if (features.vaes) EXPECT_TRUE(GcmAccelerated());
   if (features.forced_scalar) {
     EXPECT_FALSE(features.aes_ni);
     EXPECT_FALSE(features.sha_ni);
     EXPECT_FALSE(features.pclmul);
+    EXPECT_FALSE(features.vaes);
   }
   EXPECT_FALSE(CryptoBackendSummary().empty());
+}
+
+TEST(CpuFeaturesTest, BackendSummaryNamesTheVaesTier) {
+  // Every bench banner records which GCM and CBC-decrypt kernels ran.
+  const CpuFeatures& features = GetCpuFeatures();
+  const std::string summary = CryptoBackendSummary();
+  if (features.vaes) {
+    EXPECT_NE(summary.find("gcm=vaes512+vpclmul"), std::string::npos)
+        << summary;
+    EXPECT_NE(summary.find("cbc-dec=vaes512"), std::string::npos) << summary;
+    EXPECT_NE(summary.find("aes=aes-ni"), std::string::npos) << summary;
+  } else {
+    EXPECT_EQ(summary.find("vaes"), std::string::npos) << summary;
+  }
+  if (features.forced_scalar) {
+    EXPECT_EQ(summary.find("vaes"), std::string::npos) << summary;
+    EXPECT_NE(summary.find("gcm=scalar"), std::string::npos) << summary;
+    EXPECT_NE(summary.find("(forced)"), std::string::npos) << summary;
+  }
 }
 
 }  // namespace

@@ -206,6 +206,29 @@ TEST_P(FuzzSeedTest, CompactResponseRoundTripsAndFailsCleanly) {
     }
     EXPECT_EQ(decodable_prefixes, 1u);
 
+    // The mode byte is the last one. Any value but 0 (full) or 1
+    // (partial) is Corruption, never a silent full pass.
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes flipped = wire;
+      flipped.back() ^= static_cast<uint8_t>(1u << bit);
+      auto mutated = secure::DecodeCompactResponse(flipped);
+      if (flipped.back() <= 1) {
+        ASSERT_TRUE(mutated.ok()) << mutated.status().ToString();
+        EXPECT_EQ(static_cast<uint8_t>(mutated->mode), flipped.back());
+      } else {
+        EXPECT_EQ(mutated.status().code(), StatusCode::kCorruption)
+            << "mode byte " << int{flipped.back()};
+      }
+    }
+    // Bytes after the mode are a later revision's fields: accepted.
+    Bytes extended = wire;
+    extended.push_back(static_cast<uint8_t>(rng.NextBounded(256)));
+    extended.push_back(0x7F);
+    auto with_trailer = secure::DecodeCompactResponse(extended);
+    ASSERT_TRUE(with_trailer.ok()) << with_trailer.status().ToString();
+    EXPECT_EQ(with_trailer->mode, report.mode);
+    EXPECT_EQ(with_trailer->segments_released, report.segments_released);
+
     for (int flip = 0; flip < 30; ++flip) {
       auto mutated =
           secure::DecodeCompactResponse(Corrupt(wire, &rng, 1 + flip % 4));
